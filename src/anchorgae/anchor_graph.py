@@ -108,20 +108,39 @@ def init_anchors(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
 def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
     """Closed-form k-sparse rows for a whole distance matrix (n x m).
 
-    Returns (indices (n,k), weights (n,k), gamma (n,)). Ties are broken by
-    ascending anchor index (stable sort); a zero denominator (the k+1
-    nearest all at equal distance) falls back to the uniform 1/k row, which
-    is the limit of the formula under a vanishing perturbation. gamma is
-    half the denominator, the implied per-row regularizer weight.
+    Returns (indices (n,k), weights (n,k), gamma (n,)). Only the k+1
+    nearest anchors of a row enter its solution, so a partial selection
+    (argpartition) picks them and only those k+1 are sorted, by distance
+    and then by ascending anchor index: ties go to the lowest index. When
+    anchors outside the pick tie with the (k+1)-th distance (more than k+1
+    distances at or below it), the pick may hold the wrong tied anchors;
+    those rows alone are re-solved with a full stable sort. The result is
+    exactly that of a stable sort of every row. dists must hold no NaN.
+
+    A zero denominator (the k+1 nearest all at equal distance) falls back
+    to the uniform 1/k row, which is the limit of the formula under a
+    vanishing perturbation. gamma is half the denominator, the implied
+    per-row regularizer weight.
     """
     n, m = dists.shape
     if not (1 <= k < m):
         raise ValueError(f"need 1 <= k < m={m}, got k={k}")
-    order = np.argsort(dists, axis=1, kind="stable")
-    support = order[:, :k]
-    d_sup = np.take_along_axis(dists, support, axis=1)
-    d_bound = np.take_along_axis(dists, order[:, k:k + 1], axis=1)
-    num = d_bound - d_sup
+    # Sorting the picked ids first lets the stable sort by distance break
+    # ties by anchor index.
+    nearest = np.sort(np.argpartition(dists, k, axis=1)[:, :k + 1], axis=1)
+    by_dist = np.argsort(np.take_along_axis(dists, nearest, axis=1), axis=1,
+                         kind="stable")
+    nearest = np.take_along_axis(nearest, by_dist, axis=1)
+    d_near = np.take_along_axis(dists, nearest, axis=1)
+    straddle = np.flatnonzero(
+        np.count_nonzero(dists <= d_near[:, k:], axis=1) != k + 1)
+    # Ties change which anchors were picked, never the k+1 smallest values,
+    # so d_near holds for the re-solved rows too.
+    if straddle.size:
+        nearest[straddle] = np.argsort(dists[straddle], axis=1,
+                                       kind="stable")[:, :k + 1]
+    support = nearest[:, :k]
+    num = d_near[:, k:] - d_near[:, :k]
     den = num.sum(axis=1, keepdims=True)
     degenerate = den <= 0.0
     if uniform:
@@ -207,6 +226,13 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
         raise ValueError(f"need 1 <= k < m={m}, got k={cfg.k}")
 
     dists = pairwise_sq_dist(x, anchors)
+    # Later anchors are sample means or samples, so inputs that pass this
+    # check do not overflow later; checked once, not per iteration.
+    if not np.all(np.isfinite(dists)):
+        scale = max(np.max(np.abs(x)), np.max(np.abs(anchors)))
+        raise ValueError(
+            f"squared distances overflow float64: the largest |feature| is "
+            f"{scale:.3g}; rescale the input (e.g. min-max scaling)")
     prev_obj = None
     g = None
     for _ in range(cfg.max_iters):
@@ -224,7 +250,11 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
             g = from_rows(support, weights, anchors_in, m)
             attempts += 1
             if attempts > m:
-                raise RuntimeError("could not re-seed anchors to positive degree")
+                distinct = np.unique(x, axis=0).shape[0]
+                raise ValueError(
+                    f"could not re-seed anchors to positive degree: the "
+                    f"{x.shape[0]} points fitted have {distinct} distinct "
+                    f"rows for m={m} anchors; use fewer anchors")
 
         d_sup = np.take_along_axis(dists, support, axis=1)
         if uniform_rows:

@@ -65,6 +65,22 @@ def projected_gradient_row(dists, k, iters=200):
     return p
 
 
+def sorted_rows(dists, k):
+    """Closed-form k-sparse rows from a full stable sort of every row:
+    (indices, weights, gamma), ties to the lowest anchor index, the uniform
+    1/k row where the k+1 nearest all tie."""
+    order = np.argsort(dists, axis=1, kind="stable")
+    support = order[:, :k]
+    d_sup = np.take_along_axis(dists, support, axis=1)
+    d_bound = np.take_along_axis(dists, order[:, k:k + 1], axis=1)
+    num = d_bound - d_sup
+    den = num.sum(axis=1, keepdims=True)
+    degenerate = den <= 0.0
+    weights = np.where(degenerate, 1.0 / k,
+                       num / np.where(degenerate, 1.0, den))
+    return support, weights, 0.5 * den[:, 0]
+
+
 def dense_adjacencies(indices, weights, m):
     """Densified sample- and anchor-side adjacencies built by loops."""
     n, k = indices.shape

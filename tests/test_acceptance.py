@@ -32,6 +32,8 @@ from oracles import (
     projected_gradient_row,
 )
 
+pytestmark = pytest.mark.slow
+
 BLOBS = dict(n=2000, d=16, c=4, separation=12.0)
 BLOB_ANCHORS = 75
 

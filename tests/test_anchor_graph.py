@@ -4,6 +4,7 @@ import pytest
 from anchorgae.anchor_graph import (
     AnchorGraph,
     ConnectivitySolveConfig,
+    _solve_rows,
     dense_adjacency,
     fit_anchor_graph,
     from_rows,
@@ -18,6 +19,7 @@ from oracles import (
     gamma_from_sparsity,
     projected_gradient_row,
     row_objective,
+    sorted_rows,
 )
 
 
@@ -115,6 +117,31 @@ def test_row_ties_broken_by_index():
     # three tied nearest: lowest-index pair {1, 2} wins, boundary also at 1
     assert row[1] == row[2] == 0.5
     assert row[0] == row[3] == row[4] == 0.0
+
+
+def test_rows_match_full_stable_sort_on_ties():
+    rng = make_rng(25)
+    shapes = [(1, 2), (1, 7), (6, 2)] + [
+        (int(rng.integers(1, 40)), int(rng.integers(2, 16)))
+        for _ in range(300)]
+    for n, m in shapes:
+        dists = rng.integers(0, 4, size=(n, m)).astype(float)
+        for k in {1, m - 1, int(rng.integers(1, m))}:
+            ours = _solve_rows(dists, k)
+            ref = sorted_rows(dists, k)
+            for a, b in zip(ours, ref):
+                assert np.array_equal(a, b), (n, m, k)
+
+
+def test_rows_tie_straddling_the_boundary():
+    # Row 0: three anchors tie at the (k+1)-th distance. Row 1: the tie
+    # reaches into the support, so only the lowest-index tied anchor joins.
+    dists = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0],
+                      [2.0, 2.0, 1.0, 1.0, 0.0, 1.0]])
+    support, weights, gamma = _solve_rows(dists, 2)
+    assert support.tolist() == [[1, 4], [4, 2]]
+    assert weights.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+    assert gamma.tolist() == [1.0, 0.5]
 
 
 def test_row_rejects_bad_inputs():

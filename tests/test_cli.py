@@ -8,6 +8,7 @@ import pytest
 
 from anchorgae.cli import main
 from anchorgae.data_io import load_labels_csv, save_labels_csv
+from anchorgae.numerics import make_rng
 from anchorgae.report import load_report
 
 
@@ -79,6 +80,33 @@ def test_fit_missing_input_exits_1_no_partial_outputs(tmp_path, capsys):
 def test_fit_rejects_bad_flag_combination(tmp_path, capsys):
     code = main(["fit", "--format", "csv", "--clusters", "2"])
     assert code == 1  # csv needs --input
+
+
+def _write_csv(path, x):
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")
+    return str(path)
+
+
+def test_fit_overflowing_features_exit_1(tmp_path, capsys):
+    x = make_rng(0).normal(size=(60, 3)) * 1e160
+    code = main(["fit", "--format", "csv", "--input",
+                 _write_csv(tmp_path / "huge.csv", x), "--scale", "off",
+                 "--clusters", "2", "--anchors", "10", "--layers", "8,4",
+                 "--outer-epochs", "1", "--inner-epochs", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "overflow" in err and "e+160" in err
+
+
+def test_fit_fewer_distinct_rows_than_anchors_exit_1(tmp_path, capsys):
+    x = np.repeat(make_rng(1).normal(size=(30, 4)), 10, axis=0)
+    code = main(["fit", "--format", "csv", "--input",
+                 _write_csv(tmp_path / "dup.csv", x), "--clusters", "3",
+                 "--anchors", "100", "--layers", "8,4", "--outer-epochs", "1",
+                 "--inner-epochs", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "30 distinct rows" in err and "m=100" in err
 
 
 def test_unknown_flag_exits_1(capsys):
