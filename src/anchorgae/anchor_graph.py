@@ -27,7 +27,8 @@ class AnchorGraph:
     indices[i] holds the k anchor ids of row i (ascending distance order),
     weights[i] the matching probabilities (sum 1). delta is the vector of
     anchor degrees (column sums of B) and anchors the anchor coordinates in
-    the space B was fitted in.
+    the space B was fitted in. The sparse forms of B and B^T and the anchor
+    adjacency are built on first use and cached, so B must not change after.
     """
 
     indices: np.ndarray
@@ -36,6 +37,9 @@ class AnchorGraph:
     anchors: np.ndarray
     m: int
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _csr_t: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _anchor_adj: np.ndarray | None = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def n(self) -> int:
@@ -56,13 +60,32 @@ class AnchorGraph:
             )
         return self._csr
 
+    def csr_t(self) -> sp.csr_matrix:
+        """Sparse B^T in CSR form, cached; used for all products against
+        B^T. Each anchor row sums its samples in ascending order, as a
+        product through csr().T does, so the results are the same bits."""
+        if self._csr_t is None:
+            self._csr_t = self.csr().T.tocsr()
+        return self._csr_t
+
+    def anchor_adjacency(self) -> np.ndarray:
+        """Dense m x m anchor-side adjacency diag(1/delta) B^T B, cached.
+
+        Formed once per graph from the sparse product in O(n k^2 + m^2)
+        time; holds O(m^2) memory.
+        """
+        if self._anchor_adj is None:
+            btb = (self.csr_t() @ self.csr()).toarray()
+            self._anchor_adj = btb / self.delta[:, None]
+        return self._anchor_adj
+
     def b_dot(self, y: np.ndarray) -> np.ndarray:
         """B @ y for y of shape (m, d); O(n k d)."""
         return self.csr() @ y
 
     def bt_dot(self, x: np.ndarray) -> np.ndarray:
         """B^T @ x for x of shape (n, d); O(n k d)."""
-        return self.csr().T @ x
+        return self.csr_t() @ x
 
     def to_dense(self) -> np.ndarray:
         """Dense n x m copy of B. Test/diagnostic scale only."""
@@ -225,9 +248,11 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
     if not (1 <= cfg.k < m):
         raise ValueError(f"need 1 <= k < m={m}, got k={cfg.k}")
 
-    dists = pairwise_sq_dist(x, anchors)
     # Later anchors are sample means or samples, so inputs that pass this
-    # check do not overflow later; checked once, not per iteration.
+    # check do not overflow later; checked once, not per iteration, and
+    # reported by the error below rather than by numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists = pairwise_sq_dist(x, anchors)
     if not np.all(np.isfinite(dists)):
         scale = max(np.max(np.abs(x)), np.max(np.abs(anchors)))
         raise ValueError(
@@ -294,7 +319,8 @@ def dense_adjacency(g: AnchorGraph) -> tuple[np.ndarray, np.ndarray]:
     """Materialized adjacencies (sample side n x n, anchor side m x m).
 
     Both are row-stochastic by construction. Only tests and the benchmark
-    reference path call this; production never forms either matrix.
+    reference path call this; production never forms the n x n matrix and
+    forms the m x m one sparsely (AnchorGraph.anchor_adjacency).
     """
     if np.any(g.delta <= DEAD_ANCHOR_TOL):
         raise ValueError("zero-degree anchor; adjacency undefined")

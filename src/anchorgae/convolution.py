@@ -1,9 +1,13 @@
 """Graph-convolution forward passes for both branches of the siamese encoder.
 
-The sample-side adjacency factors as B diag(1/delta) B^T and the anchor-side
-one as diag(1/delta) B^T B, so a layer never materializes either matrix: it
-multiplies by B and B^T in sequence, keeping the per-layer cost linear in
-the number of samples for fixed anchor count and widths.
+The sample-side adjacency factors as B diag(1/delta) B^T and is never
+materialized: a layer multiplies by B^T and B in sequence, keeping the
+per-layer cost linear in the number of samples for fixed anchor count and
+widths. The anchor-side adjacency diag(1/delta) B^T B is a dense m x m
+matrix, O(m^2) memory, formed in O(n k^2 + m^2) once per graph and cached on
+the AnchorGraph; applying it is one m x m product. Within one round the
+graph and the first-layer inputs are fixed, so a caller may aggregate the
+inputs once and pass the result to every forward pass of that round.
 """
 
 from dataclasses import dataclass
@@ -78,27 +82,36 @@ def apply_sample_adjacency(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
 
 
 def apply_anchor_adjacency(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
-    """(diag(1/delta) B^T B) @ h without forming the m x m matrix."""
-    return g.bt_dot(g.b_dot(h)) / g.delta[:, None]
+    """(diag(1/delta) B^T B) @ h through the graph's cached m x m matrix."""
+    return g.anchor_adjacency() @ h
 
 
 def apply_anchor_adjacency_t(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
-    """Transpose of the anchor-side adjacency applied to h (backprop path);
-    the sample-side adjacency is symmetric so it is its own transpose."""
-    return g.bt_dot(g.b_dot(h / g.delta[:, None]))
+    """Transpose of the anchor-side adjacency applied to h (backprop path),
+    through the same cached m x m matrix; the sample-side adjacency is
+    symmetric so it is its own transpose."""
+    return g.anchor_adjacency().T @ h
 
 
 def _forward(g: AnchorGraph, x: np.ndarray, params: EncoderParams,
-             apply_adj, keep_cache: bool) -> tuple[np.ndarray, ForwardCache | None]:
+             apply_adj, keep_cache: bool,
+             aggregated_x: np.ndarray | None
+             ) -> tuple[np.ndarray, ForwardCache | None]:
     if x.shape[1] != params.layers[0].shape[0]:
         raise ValueError(
             f"input dim {x.shape[1]} != first layer dim {params.layers[0].shape[0]}")
     if np.any(g.delta <= 0):
         raise ValueError("zero-degree anchor; convolution undefined")
+    if aggregated_x is None:
+        aggregated_x = apply_adj(g, x)
+    elif aggregated_x.shape != x.shape:
+        raise ValueError(f"aggregated input has shape {aggregated_x.shape}, "
+                         f"expected {x.shape}")
     aggregated, pre = [], []
-    h = x
-    for w, tag in zip(params.layers, params.activations):
-        m_l = apply_adj(g, h)
+    m_l = aggregated_x
+    for l, (w, tag) in enumerate(zip(params.layers, params.activations)):
+        if l:
+            m_l = apply_adj(g, h)
         s_l = m_l @ w
         h = _activate(s_l, tag)
         if keep_cache:
@@ -109,18 +122,24 @@ def _forward(g: AnchorGraph, x: np.ndarray, params: EncoderParams,
 
 
 def conv_forward_samples(g: AnchorGraph, x: np.ndarray, params: EncoderParams,
-                         keep_cache: bool = True):
+                         keep_cache: bool = True,
+                         aggregated_x: np.ndarray | None = None):
     """Embed the n samples. Returns (z, cache); cache is None in inference
-    mode (keep_cache=False)."""
+    mode (keep_cache=False). aggregated_x, if given, must be
+    apply_sample_adjacency(g, x); it is used (and cached) as is, uncopied."""
     if g.n != x.shape[0]:
         raise ValueError(f"graph has {g.n} rows but x has {x.shape[0]}")
-    return _forward(g, x, params, apply_sample_adjacency, keep_cache)
+    return _forward(g, x, params, apply_sample_adjacency, keep_cache,
+                    aggregated_x)
 
 
 def conv_forward_anchors(g: AnchorGraph, c: np.ndarray, params: EncoderParams,
-                         keep_cache: bool = True):
+                         keep_cache: bool = True,
+                         aggregated_c: np.ndarray | None = None):
     """Embed the m anchors through the shared weights with the anchor-side
-    graph. Returns (z_t, cache)."""
+    graph. Returns (z_t, cache). aggregated_c, if given, must be
+    apply_anchor_adjacency(g, c); it is used (and cached) as is, uncopied."""
     if g.m != c.shape[0]:
         raise ValueError(f"graph has {g.m} anchors but c has {c.shape[0]}")
-    return _forward(g, c, params, apply_anchor_adjacency, keep_cache)
+    return _forward(g, c, params, apply_anchor_adjacency, keep_cache,
+                    aggregated_c)

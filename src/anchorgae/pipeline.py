@@ -21,7 +21,13 @@ from .anchor_graph import (
     fit_anchor_graph,
     init_anchors,
 )
-from .convolution import conv_forward_anchors, conv_forward_samples, init_params
+from .convolution import (
+    apply_anchor_adjacency,
+    apply_sample_adjacency,
+    conv_forward_anchors,
+    conv_forward_samples,
+    init_params,
+)
 from .numerics import as_matrix, spawn_rngs
 from .training import TrainConfig, TrainingDiverged, decode, train
 
@@ -155,7 +161,6 @@ class RunResult:
     schedule: SparsitySchedule
     k_final: int
     iteration_graphs: list[AnchorGraph] = field(default_factory=list)
-    iteration_embeddings: list[np.ndarray] = field(default_factory=list)
 
 
 def _stage(name: str, fn):
@@ -166,8 +171,7 @@ def _stage(name: str, fn):
 
 
 def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
-                  record_graphs: bool = False,
-                  record_embeddings: bool = False) -> RunResult:
+                  record_graphs: bool = False) -> RunResult:
     """Full pipeline: initial graph on raw features, then outer_epochs rounds
     of (train encoder -> refit graph on embeddings -> pull anchors back ->
     grow sparsity), with collapse diagnostics after every round.
@@ -176,6 +180,10 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     sparsity growth, 'knn' swaps the weighted rows for flat 1/k rows over
     the k nearest anchors. outer_epochs=0 degenerates to the initial graph
     plus a single training round.
+
+    The first-layer aggregations of x and of the anchor inputs depend only
+    on the graph, so they are computed once per graph fit and shared by that
+    round's training epochs and embeddings.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -203,25 +211,33 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     diagnostics: list[CollapseEntry] = []
     loss_traces: list[np.ndarray] = []
     iteration_graphs: list[AnchorGraph] = []
-    iteration_embeddings: list[np.ndarray] = []
 
-    def snapshot(iteration: int, graph: AnchorGraph, z, q) -> None:
+    def aggregate(graph: AnchorGraph, c: np.ndarray):
+        return apply_sample_adjacency(graph, x), apply_anchor_adjacency(graph, c)
+
+    def embed(graph: AnchorGraph, c: np.ndarray, aggregated):
+        z, _ = conv_forward_samples(graph, x, params, keep_cache=False,
+                                    aggregated_x=aggregated[0])
+        z_t, _ = conv_forward_anchors(graph, c, params, keep_cache=False,
+                                      aggregated_c=aggregated[1])
+        return z, z_t
+
+    def snapshot(iteration: int, graph: AnchorGraph, q) -> None:
         entry = measure_collapse(graph, q)
         entry.iteration = iteration
         diagnostics.append(entry)
         if record_graphs:
             iteration_graphs.append(graph)
-        if record_embeddings:
-            iteration_embeddings.append(z)
 
+    aggregated = aggregate(g, c_input)
     for t in range(config.outer_epochs):
         _, trace = _stage(f"outer iteration {t}, training",
-                          lambda: train(g, x, c_input, params, train_cfg))
+                          lambda: train(g, x, c_input, params, train_cfg,
+                                        aggregated))
         loss_traces.append(trace)
-        z, _ = conv_forward_samples(g, x, params, keep_cache=False)
-        z_t, _ = conv_forward_anchors(g, c_input, params, keep_cache=False)
+        z, z_t = embed(g, c_input, aggregated)
         q = decode(z, z_t)
-        snapshot(t, g, z, q)
+        snapshot(t, g, q)
 
         if config.mode != "fixed_b":
             g = _stage(f"outer iteration {t}, graph refit",
@@ -231,20 +247,19 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                                                    config.fit_tol),
                            uniform_rows=uniform_rows))
             c_input = pullback_anchors(x, g)
+            aggregated = aggregate(g, c_input)
         if config.mode != "fixed_k":
             k = step_sparsity(schedule, k)
 
     if config.outer_epochs == 0:
         _, trace = _stage("training", lambda: train(g, x, c_input, params,
-                                                    train_cfg))
+                                                    train_cfg, aggregated))
         loss_traces.append(trace)
 
-    z, _ = conv_forward_samples(g, x, params, keep_cache=False)
-    z_t, _ = conv_forward_anchors(g, c_input, params, keep_cache=False)
+    z, z_t = embed(g, c_input, aggregated)
     q = decode(z, z_t)
-    snapshot(config.outer_epochs, g, z, q)
+    snapshot(config.outer_epochs, g, q)
 
     return RunResult(z=z, graph=g, diagnostics=diagnostics,
                      loss_traces=loss_traces, schedule=schedule, k_final=k,
-                     iteration_graphs=iteration_graphs,
-                     iteration_embeddings=iteration_embeddings)
+                     iteration_graphs=iteration_graphs)

@@ -18,6 +18,7 @@ from .anchor_graph import AnchorGraph
 from .convolution import (
     EncoderParams,
     ForwardCache,
+    apply_anchor_adjacency,
     apply_anchor_adjacency_t,
     apply_sample_adjacency,
     conv_forward_anchors,
@@ -134,19 +135,27 @@ def _clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
 
 
 def train(g: AnchorGraph, x: np.ndarray, c: np.ndarray, params: EncoderParams,
-          cfg: TrainConfig) -> tuple[EncoderParams, np.ndarray]:
+          cfg: TrainConfig,
+          aggregated: tuple[np.ndarray, np.ndarray] | None = None,
+          ) -> tuple[EncoderParams, np.ndarray]:
     """Run cfg.inner_epochs full-batch steps on the siamese encoder.
 
     Updates params in place and returns (params, per-epoch loss trace).
     Aborts with TrainingDiverged naming the epoch if the loss leaves the
-    finite range.
+    finite range. aggregated is the first-layer pair
+    (apply_sample_adjacency(g, x), apply_anchor_adjacency(g, c)); g, x and c
+    do not change between epochs, so it is computed once, here if the
+    caller does not pass it.
     """
+    if aggregated is None:
+        aggregated = (apply_sample_adjacency(g, x), apply_anchor_adjacency(g, c))
+    ax, ac = aggregated
     trace = np.empty(cfg.inner_epochs)
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(cfg.inner_epochs):
-        z, cache_s = conv_forward_samples(g, x, params)
-        z_t, cache_a = conv_forward_anchors(g, c, params)
+        z, cache_s = conv_forward_samples(g, x, params, aggregated_x=ax)
+        z_t, cache_a = conv_forward_anchors(g, c, params, aggregated_c=ac)
         q = decode(z, z_t)
         value = loss(g, q)
         if not np.isfinite(value):

@@ -94,6 +94,20 @@ def dense_adjacencies(indices, weights, m):
     return b, a, a_t
 
 
+def factored_anchor_adjacency(g, h):
+    """diag(1/delta) B^T (B h): the anchor-side product as two sparse
+    passes, never forming the m x m matrix."""
+    b = g.csr()
+    return (b.T @ (b @ h)) / g.delta[:, None]
+
+
+def factored_anchor_adjacency_t(g, h):
+    """B^T (B (h / delta)): the transpose of the anchor-side product as two
+    sparse passes."""
+    b = g.csr()
+    return b.T @ (b @ (h / g.delta[:, None]))
+
+
 def dense_gcn_forward(a, x, params):
     """Reference forward pass through an explicit adjacency."""
     h = x

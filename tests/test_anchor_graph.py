@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -386,6 +388,28 @@ def test_graph_b_products_match_dense():
     x = rng.normal(size=(15, 4))
     assert np.max(np.abs(g.b_dot(y) - b @ y)) < 1e-12
     assert np.max(np.abs(g.bt_dot(x) - b.T @ x)) < 1e-12
+
+
+def test_bt_dot_through_cached_transpose_is_exact():
+    rng = make_rng(44)
+    for n, m, k, d in ((15, 7, 3, 4), (40, 2, 1, 3), (1, 5, 4, 784),
+                       (200, 30, 6, 1)):
+        idx = np.stack([rng.choice(m, size=k, replace=False)
+                        for _ in range(n)])
+        w = rng.random((n, k))
+        w /= w.sum(axis=1, keepdims=True)
+        g = from_rows(idx, w, np.zeros((m, 2)), m)
+        x = rng.normal(size=(n, d))
+        assert np.array_equal(g.bt_dot(x), g.csr().T @ x)
+        assert g.csr_t() is g.csr_t()
+
+
+def test_fit_overflow_raises_without_numpy_warnings():
+    x = make_rng(0).normal(size=(60, 3)) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            fit_anchor_graph(x, x[:10], ConnectivitySolveConfig(k=3))
 
 
 def test_solve_config_validation():

@@ -4,12 +4,19 @@ import pytest
 from anchorgae.anchor_graph import from_rows
 from anchorgae.convolution import (
     EncoderParams,
+    apply_anchor_adjacency,
+    apply_anchor_adjacency_t,
+    apply_sample_adjacency,
     conv_forward_anchors,
     conv_forward_samples,
     init_params,
 )
 from anchorgae.numerics import make_rng
-from oracles import dense_gcn_forward
+from oracles import (
+    dense_gcn_forward,
+    factored_anchor_adjacency,
+    factored_anchor_adjacency_t,
+)
 
 
 def identity_graph(n, d_anchor=1):
@@ -96,6 +103,40 @@ def test_factored_matches_dense_oracle_both_branches():
         assert np.max(np.abs(z_t - dense_gcn_forward(a_t, c, params))) < 1e-8
 
 
+def test_anchor_adjacency_matches_factored_oracle():
+    rng = make_rng(11)
+    graphs = [random_graph(n, m, k, rng)
+              for n, m, k in ((40, 8, 3), (60, 12, 1), (30, 2, 1), (25, 5, 4))]
+    # Anchor 2 carries a single tiny weight, so its degree is ~1e-10 and
+    # its adjacency row is scaled by ~1e10.
+    idx = np.tile(np.array([[0, 1, 3]]), (20, 1))
+    idx[0] = [0, 1, 2]
+    w = np.tile(np.array([[0.5, 0.3, 0.2]]), (20, 1))
+    w[0] = [0.6, 0.4 - 1e-10, 1e-10]
+    graphs.append(from_rows(idx, w, np.zeros((4, 1)), 4))
+    for g in graphs:
+        h = rng.normal(size=(g.m, 6))
+        assert np.max(np.abs(apply_anchor_adjacency(g, h)
+                             - factored_anchor_adjacency(g, h))) < 1e-12
+        assert np.max(np.abs(apply_anchor_adjacency_t(g, h)
+                             - factored_anchor_adjacency_t(g, h))) < 1e-12
+        assert g.anchor_adjacency() is g.anchor_adjacency()
+
+
+def test_given_first_layer_aggregate_is_used_uncopied():
+    rng = make_rng(12)
+    g = random_graph(30, 6, 2, rng)
+    x = rng.normal(size=(30, 4))
+    c = rng.normal(size=(6, 4))
+    params = init_params([4, 5, 3], rng)
+    ax, ac = apply_sample_adjacency(g, x), apply_anchor_adjacency(g, c)
+    z, cache_s = conv_forward_samples(g, x, params, aggregated_x=ax)
+    z_t, cache_a = conv_forward_anchors(g, c, params, aggregated_c=ac)
+    assert cache_s.aggregated[0] is ax and cache_a.aggregated[0] is ac
+    assert np.array_equal(z, conv_forward_samples(g, x, params)[0])
+    assert np.array_equal(z_t, conv_forward_anchors(g, c, params)[0])
+
+
 def test_relu_kills_all_negative_preactivations():
     rng = make_rng(5)
     x = -np.abs(rng.normal(size=(5, 3)))  # strictly negative input
@@ -150,3 +191,6 @@ def test_dimension_mismatch_errors():
         conv_forward_samples(g, rng.normal(size=(9, 3)), params)
     with pytest.raises(ValueError, match="graph has"):
         conv_forward_anchors(g, rng.normal(size=(5, 3)), params)
+    x = rng.normal(size=(10, 3))
+    with pytest.raises(ValueError, match="aggregated input"):
+        conv_forward_samples(g, x, params, aggregated_x=x[:, :2])

@@ -244,10 +244,49 @@ def test_run_deterministic():
 def test_run_records_optional_series():
     x, _ = scaled_blobs(n=250)
     config = quick_config(anchors=20, inner_epochs=20)
-    result = run_anchorgae(x, config, record_graphs=True,
-                           record_embeddings=True)
+    result = run_anchorgae(x, config, record_graphs=True)
     assert len(result.iteration_graphs) == len(result.diagnostics)
-    assert len(result.iteration_embeddings) == len(result.diagnostics)
+
+
+def count_layer0_aggregations(monkeypatch, d_in):
+    """Count sample- and anchor-side aggregations of d_in-wide inputs (layer
+    0 only, when no hidden width equals d_in), split by whether they run
+    inside pipeline's call to train."""
+    import anchorgae.convolution as convolution
+    import anchorgae.pipeline as pipeline
+    import anchorgae.training as training
+
+    counts = {"inside": 0, "outside": 0}
+    in_train = [False]
+    for name in ("apply_sample_adjacency", "apply_anchor_adjacency"):
+        def counted(g, h, _orig=getattr(convolution, name)):
+            if h.shape[1] == d_in:
+                counts["inside" if in_train[0] else "outside"] += 1
+            return _orig(g, h)
+        for mod in (convolution, training, pipeline):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+
+    def flagged_train(*args, _orig=pipeline.train, **kwargs):
+        in_train[0] = True
+        try:
+            return _orig(*args, **kwargs)
+        finally:
+            in_train[0] = False
+
+    monkeypatch.setattr(pipeline, "train", flagged_train)
+    return counts
+
+
+@pytest.mark.parametrize("mode, graphs", [("full", 3), ("fixed_b", 1)])
+def test_layer0_aggregated_once_per_graph_not_per_epoch(monkeypatch, mode,
+                                                        graphs):
+    x, _ = scaled_blobs(n=200, d=7)
+    counts = count_layer0_aggregations(monkeypatch, d_in=7)
+    run_anchorgae(x, quick_config(anchors=20, hidden_dims=(6, 4),
+                                  outer_epochs=2, inner_epochs=5, mode=mode))
+    # One sample- and one anchor-side aggregation per graph fit.
+    assert counts == {"inside": 0, "outside": 2 * graphs}
 
 
 def test_fixed_k_uniformity_trend_once_well_trained():

@@ -278,6 +278,42 @@ def test_train_grad_clip_keeps_updates_bounded():
     assert moved <= 1e-3 + 1e-12
 
 
+def reaggregating_train(g, x, c, params, cfg):
+    """The adam loop of train, aggregating x and c afresh every epoch."""
+    trace = []
+    adam_m = [np.zeros_like(w) for w in params.layers]
+    adam_v = [np.zeros_like(w) for w in params.layers]
+    for epoch in range(cfg.inner_epochs):
+        z, cache_s = conv_forward_samples(g, x, params)
+        z_t, cache_a = conv_forward_anchors(g, c, params)
+        q = decode(z, z_t)
+        trace.append(loss(g, q))
+        grads = backward(g, cache_s, cache_a, params, q)
+        t = epoch + 1
+        for w, grad, m1, v1 in zip(params.layers, grads, adam_m, adam_v):
+            m1[...] = cfg.beta1 * m1 + (1.0 - cfg.beta1) * grad
+            v1[...] = cfg.beta2 * v1 + (1.0 - cfg.beta2) * grad * grad
+            m_hat = m1 / (1.0 - cfg.beta1 ** t)
+            v_hat = v1 / (1.0 - cfg.beta2 ** t)
+            w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return np.array(trace)
+
+
+def test_train_hoisted_aggregates_match_reaggregating_loop():
+    from anchorgae.convolution import (apply_anchor_adjacency,
+                                       apply_sample_adjacency)
+    rng = make_rng(65)
+    g, x, c, params = random_instance(rng, n=30, m=6, k=3)
+    ref_params = params.copy()
+    cfg = TrainConfig(inner_epochs=3, learning_rate=1e-2)
+    aggregated = (apply_sample_adjacency(g, x), apply_anchor_adjacency(g, c))
+    _, trace = train(g, x, c, params, cfg, aggregated)
+    ref_trace = reaggregating_train(g, x, c, ref_params, cfg)
+    assert np.max(np.abs(trace - ref_trace)) < 1e-10
+    for w, ref in zip(params.layers, ref_params.layers):
+        assert np.max(np.abs(w - ref)) < 1e-10
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(inner_epochs=0)
