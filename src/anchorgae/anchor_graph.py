@@ -27,8 +27,8 @@ class AnchorGraph:
     indices[i] holds the k anchor ids of row i (ascending distance order),
     weights[i] the matching probabilities (sum 1). delta is the vector of
     anchor degrees (column sums of B) and anchors the anchor coordinates in
-    the space B was fitted in. The sparse forms of B and B^T and the anchor
-    adjacency are built on first use and cached, so B must not change after.
+    the space B was fitted in. The sparse form of B and the anchor adjacency
+    are built on first use and cached, so B must not change after.
     """
 
     indices: np.ndarray
@@ -37,7 +37,6 @@ class AnchorGraph:
     anchors: np.ndarray
     m: int
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-    _csr_t: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
     _anchor_adj: np.ndarray | None = field(default=None, repr=False,
                                            compare=False)
 
@@ -50,7 +49,8 @@ class AnchorGraph:
         return self.indices.shape[1]
 
     def csr(self) -> sp.csr_matrix:
-        """Sparse view of B, cached; used for all products against B."""
+        """Sparse view of B, cached; used for all products against B, and
+        through its CSC transpose view for all products against B^T."""
         if self._csr is None:
             n, k = self.indices.shape
             indptr = np.arange(0, (n + 1) * k, k, dtype=np.int64)
@@ -60,14 +60,6 @@ class AnchorGraph:
             )
         return self._csr
 
-    def csr_t(self) -> sp.csr_matrix:
-        """Sparse B^T in CSR form, cached; used for all products against
-        B^T. Each anchor row sums its samples in ascending order, as a
-        product through csr().T does, so the results are the same bits."""
-        if self._csr_t is None:
-            self._csr_t = self.csr().T.tocsr()
-        return self._csr_t
-
     def anchor_adjacency(self) -> np.ndarray:
         """Dense m x m anchor-side adjacency diag(1/delta) B^T B, cached.
 
@@ -75,7 +67,8 @@ class AnchorGraph:
         time; holds O(m^2) memory.
         """
         if self._anchor_adj is None:
-            btb = (self.csr_t() @ self.csr()).toarray()
+            b = self.csr()
+            btb = (b.T @ b).toarray()
             self._anchor_adj = btb / self.delta[:, None]
         return self._anchor_adj
 
@@ -85,7 +78,7 @@ class AnchorGraph:
 
     def bt_dot(self, x: np.ndarray) -> np.ndarray:
         """B^T @ x for x of shape (n, d); O(n k d)."""
-        return self.csr_t() @ x
+        return self.csr().T @ x
 
     def to_dense(self) -> np.ndarray:
         """Dense n x m copy of B. Test/diagnostic scale only."""
@@ -305,14 +298,6 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
 
     return AnchorGraph(indices=g.indices, weights=g.weights, delta=g.delta,
                        anchors=anchors, m=m)
-
-
-def normalize_anchor_side(g: AnchorGraph) -> np.ndarray:
-    """Anchor-to-sample transition matrix (m x n): column j of B divided by
-    its degree, so each anchor row is a distribution over samples."""
-    if np.any(g.delta <= DEAD_ANCHOR_TOL):
-        raise ValueError("zero-degree anchor; graph is not normalizable")
-    return (g.to_dense() / g.delta[None, :]).T
 
 
 def dense_adjacency(g: AnchorGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Dense numerical substrate: seeded RNG, matrix products, squared distances,
+"""Dense numerical substrate: seeded RNG, input coercion, squared distances,
 and the small symmetric eigensolver used on anchor-sized problems.
 
 Everything here is float64. Eigendecomposition is only ever invoked on
@@ -30,23 +30,13 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"cannot multiply shapes {a.shape} x {b.shape}: inner dimensions differ"
-        )
-    return a @ b
-
-
 def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a (n x d) and b (m x d).
 
     Uses the norm expansion with a single BLAS product; catastrophic-
     cancellation negatives are clamped to 0. When a and b are the same
-    array object the diagonal is exactly 0 by construction.
+    array object the diagonal is exactly 0 by construction. The product is
+    doubled in place, which is exact, so only two n x m arrays are allocated.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -60,7 +50,9 @@ def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     else:
         sq_a = np.einsum("ij,ij->i", a, a)
         sq_b = np.einsum("ij,ij->i", b, b)
-    d = sq_a[:, None] + sq_b[None, :] - 2.0 * cross
+    cross *= 2.0
+    d = sq_a[:, None] + sq_b[None, :]
+    d -= cross
     np.maximum(d, 0.0, out=d)
     return d
 

@@ -7,6 +7,11 @@ to flat 1/k distributions and the bipartite graph breaks into many tiny
 components. The collapse diagnostics recorded each outer iteration (support
 uniformity gap, component count, reconstruction gap) make that failure mode
 observable, and the ablation modes reproduce it on demand.
+
+The per-round snapshot needs the reconstruction only on the graph support:
+training.decode_on_support decodes the embeddings over the training
+decoder's row blocks (sized by the module constant training.BLOCK_ENTRIES)
+and keeps those n x k entries, so no n x m array is held here either.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +34,7 @@ from .convolution import (
     init_params,
 )
 from .numerics import as_matrix, spawn_rngs
-from .training import TrainConfig, TrainingDiverged, decode, train
+from .training import TrainConfig, TrainingDiverged, decode_on_support, train
 
 MODES = ("full", "fixed_b", "fixed_k", "knn")
 
@@ -87,16 +92,19 @@ class CollapseEntry:
     reconstruction_gap: float
 
 
-def measure_collapse(g: AnchorGraph, q: np.ndarray) -> CollapseEntry:
-    """Diagnostics for one (graph, reconstruction) pair.
+def measure_collapse(g: AnchorGraph, q_sup: np.ndarray) -> CollapseEntry:
+    """Diagnostics for one (graph, reconstruction) pair; q_sup holds the
+    reconstruction on the graph support (q_sup[i, t] = q[i, g.indices[i, t]]).
 
     uniformity_gap: how far the support weights sit from the flat 1/k row.
     component_count: connected components of the bipartite graph (samples
     and anchors as nodes, positive-weight entries as edges).
     reconstruction_gap: max |q - b| over the stored support.
     """
+    if q_sup.shape != g.weights.shape:
+        raise ValueError(
+            f"q_sup has shape {q_sup.shape}, expected {g.weights.shape}")
     gap = float(np.max(np.abs(g.weights - 1.0 / g.k)))
-    q_sup = np.take_along_axis(q, g.indices, axis=1)
     recon = float(np.max(np.abs(q_sup - g.weights)))
 
     live = g.weights > 0
@@ -222,8 +230,8 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                                       aggregated_c=aggregated[1])
         return z, z_t
 
-    def snapshot(iteration: int, graph: AnchorGraph, q) -> None:
-        entry = measure_collapse(graph, q)
+    def snapshot(iteration: int, graph: AnchorGraph, z, z_t) -> None:
+        entry = measure_collapse(graph, decode_on_support(graph, z, z_t))
         entry.iteration = iteration
         diagnostics.append(entry)
         if record_graphs:
@@ -236,8 +244,7 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                                         aggregated))
         loss_traces.append(trace)
         z, z_t = embed(g, c_input, aggregated)
-        q = decode(z, z_t)
-        snapshot(t, g, q)
+        snapshot(t, g, z, z_t)
 
         if config.mode != "fixed_b":
             g = _stage(f"outer iteration {t}, graph refit",
@@ -257,8 +264,7 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
         loss_traces.append(trace)
 
     z, z_t = embed(g, c_input, aggregated)
-    q = decode(z, z_t)
-    snapshot(config.outer_epochs, g, q)
+    snapshot(config.outer_epochs, g, z, z_t)
 
     return RunResult(z=z, graph=g, diagnostics=diagnostics,
                      loss_traces=loss_traces, schedule=schedule, k_final=k,

@@ -23,6 +23,32 @@ def matmul_loops(a, b):
     return out
 
 
+def matmul(a, b):
+    """Matrix product with an explicit shape check."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"cannot multiply shapes {a.shape} x {b.shape}: inner dimensions differ"
+        )
+    return a @ b
+
+
+def pairwise_sq_dist_expression(a, b):
+    """Squared distances by the norm expansion written as one expression,
+    sq_a + sq_b - 2 a b^T, clamped at 0; the diagonal of the product gives
+    the norms when a is b."""
+    cross = a @ b.T
+    if a is b:
+        sq_a = sq_b = np.diagonal(cross).copy()
+    else:
+        sq_a = np.einsum("ij,ij->i", a, a)
+        sq_b = np.einsum("ij,ij->i", b, b)
+    d = sq_a[:, None] + sq_b[None, :] - 2.0 * cross
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
 def pairwise_loops(a, b):
     out = np.zeros((a.shape[0], b.shape[0]))
     for i in range(a.shape[0]):
@@ -94,6 +120,14 @@ def dense_adjacencies(indices, weights, m):
     return b, a, a_t
 
 
+def normalize_anchor_side(g):
+    """Anchor-to-sample transition matrix (m x n): column j of B divided by
+    its degree, so each anchor row is a distribution over samples."""
+    if np.any(g.delta <= 1e-12):
+        raise ValueError("zero-degree anchor; graph is not normalizable")
+    return (g.to_dense() / g.delta[None, :]).T
+
+
 def factored_anchor_adjacency(g, h):
     """diag(1/delta) B^T (B h): the anchor-side product as two sparse
     passes, never forming the m x m matrix."""
@@ -106,6 +140,38 @@ def factored_anchor_adjacency_t(g, h):
     sparse passes."""
     b = g.csr()
     return b.T @ (b @ (h / g.delta[:, None]))
+
+
+def on_support(g, q):
+    """The entries of a dense n x m reconstruction on g's support (n x k)."""
+    return np.take_along_axis(q, g.indices, axis=1)
+
+
+def whole_matrix_decode(z, z_t):
+    """Row-softmax of negative squared distances, as one n x m array."""
+    logits = -pairwise_sq_dist_expression(z, z_t)
+    logits -= logits.max(axis=1, keepdims=True)
+    q = np.exp(logits)
+    q /= q.sum(axis=1, keepdims=True)
+    return q
+
+
+def whole_matrix_loss(g, q):
+    """Cross-entropy of g's rows against a dense reconstruction q,
+    floored at 1e-300 before the log."""
+    q_sup = np.maximum(on_support(g, q), 1e-300)
+    return float(-np.sum(g.weights * np.log(q_sup)))
+
+
+def whole_matrix_decoder_grads(g, z, z_t):
+    """(grad_z, grad_zt, q) of the cross-entropy w.r.t. both embeddings,
+    from the dense residual p - q."""
+    q = whole_matrix_decode(z, z_t)
+    resid = -q.copy()
+    resid[np.arange(g.n)[:, None], g.indices] += g.weights
+    grad_z = -2.0 * (resid @ z_t)
+    grad_zt = -2.0 * (resid.T @ z) + 2.0 * resid.sum(axis=0)[:, None] * z_t
+    return grad_z, grad_zt, q
 
 
 def dense_gcn_forward(a, x, params):

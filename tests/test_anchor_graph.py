@@ -11,7 +11,6 @@ from anchorgae.anchor_graph import (
     fit_anchor_graph,
     from_rows,
     init_anchors,
-    normalize_anchor_side,
     solve_connectivity_row,
     update_anchors,
 )
@@ -19,6 +18,7 @@ from anchorgae.numerics import make_rng, pairwise_sq_dist
 from oracles import (
     dense_adjacencies,
     gamma_from_sparsity,
+    normalize_anchor_side,
     projected_gradient_row,
     row_objective,
     sorted_rows,
@@ -388,20 +388,6 @@ def test_graph_b_products_match_dense():
     x = rng.normal(size=(15, 4))
     assert np.max(np.abs(g.b_dot(y) - b @ y)) < 1e-12
     assert np.max(np.abs(g.bt_dot(x) - b.T @ x)) < 1e-12
-
-
-def test_bt_dot_through_cached_transpose_is_exact():
-    rng = make_rng(44)
-    for n, m, k, d in ((15, 7, 3, 4), (40, 2, 1, 3), (1, 5, 4, 784),
-                       (200, 30, 6, 1)):
-        idx = np.stack([rng.choice(m, size=k, replace=False)
-                        for _ in range(n)])
-        w = rng.random((n, k))
-        w /= w.sum(axis=1, keepdims=True)
-        g = from_rows(idx, w, np.zeros((m, 2)), m)
-        x = rng.normal(size=(n, d))
-        assert np.array_equal(g.bt_dot(x), g.csr().T @ x)
-        assert g.csr_t() is g.csr_t()
 
 
 def test_fit_overflow_raises_without_numpy_warnings():

@@ -3,12 +3,16 @@ import pytest
 
 from anchorgae.numerics import (
     make_rng,
-    matmul,
     pairwise_sq_dist,
     spawn_rngs,
     sym_eig_topc,
 )
-from oracles import matmul_loops, pairwise_loops
+from oracles import (
+    matmul,
+    matmul_loops,
+    pairwise_loops,
+    pairwise_sq_dist_expression,
+)
 
 
 def test_matmul_identity():
@@ -61,6 +65,18 @@ def test_pairwise_matches_per_pair_oracle():
     a = rng.normal(size=(10, 4))
     b = rng.normal(size=(6, 4))
     assert np.max(np.abs(pairwise_sq_dist(a, b) - pairwise_loops(a, b))) < 1e-10
+
+
+@pytest.mark.parametrize("n,m,d", [(3000, 256, 16), (3000, 200, 64),
+                                   (2000, 200, 784), (1, 1, 1), (7, 3, 2)])
+def test_pairwise_same_bits_as_one_expression(n, m, d):
+    rng = make_rng(19)
+    a = rng.normal(size=(n, d)) * 3.0
+    b = rng.normal(size=(m, d))
+    assert np.array_equal(pairwise_sq_dist(a, b),
+                          pairwise_sq_dist_expression(a, b))
+    assert np.array_equal(pairwise_sq_dist(b, b),
+                          pairwise_sq_dist_expression(b, b))
 
 
 def test_pairwise_symmetry():

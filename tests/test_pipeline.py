@@ -14,7 +14,7 @@ from anchorgae.pipeline import (
     run_anchorgae,
     step_sparsity,
 )
-from oracles import union_find_components
+from oracles import on_support, union_find_components
 
 
 def quick_config(**overrides):
@@ -127,7 +127,7 @@ def test_measure_collapse_uniform_rows_zero_gap():
     idx = np.stack([np.arange(3)] * 5)
     w = np.full((5, 3), 1.0 / 3.0)
     g = from_rows(idx, w, np.zeros((3, 1)), 3)
-    entry = measure_collapse(g, np.full((5, 3), 1.0 / 3.0))
+    entry = measure_collapse(g, on_support(g, np.full((5, 3), 1.0 / 3.0)))
     assert entry.uniformity_gap == 0.0
 
 
@@ -137,7 +137,7 @@ def test_measure_collapse_block_diagonal_components():
     w = np.ones((6, 1))
     g = from_rows(idx, w, np.zeros((3, 1)), 3)
     q = g.to_dense()
-    entry = measure_collapse(g, q)
+    entry = measure_collapse(g, on_support(g, q))
     edges = [(i, int(idx[i, 0])) for i in range(6)]
     assert entry.component_count == union_find_components(6, 3, edges) == 3
 
@@ -146,7 +146,7 @@ def test_measure_collapse_reconstruction_gap_zero_when_exact():
     idx = np.array([[0, 1], [1, 2]])
     w = np.array([[0.6, 0.4], [0.3, 0.7]])
     g = from_rows(idx, w, np.zeros((3, 1)), 3)
-    entry = measure_collapse(g, g.to_dense())
+    entry = measure_collapse(g, on_support(g, g.to_dense()))
     assert entry.reconstruction_gap == 0.0
     assert entry.k == 2
 
@@ -158,7 +158,7 @@ def test_measure_collapse_random_components_vs_oracle():
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
     g = from_rows(idx, w, np.zeros((m, 1)), m)
-    entry = measure_collapse(g, rng.random((n, m)))
+    entry = measure_collapse(g, on_support(g, rng.random((n, m))))
     edges = [(i, int(j)) for i in range(n) for j in idx[i]]
     assert entry.component_count == union_find_components(n, m, edges)
 

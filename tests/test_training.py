@@ -1,6 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from anchorgae import training
 from anchorgae.anchor_graph import from_rows
 from anchorgae.convolution import (
     EncoderParams,
@@ -17,8 +21,18 @@ from anchorgae.training import (
     loss,
     train,
     _branch_grads,
+    _decoder_grads,
+    decode_on_support,
+    row_blocks,
 )
-from oracles import entropy, numerical_grads
+from oracles import (
+    entropy,
+    numerical_grads,
+    on_support,
+    whole_matrix_decode,
+    whole_matrix_decoder_grads,
+    whole_matrix_loss,
+)
 
 
 def random_instance(rng, n=12, m=4, k=2, dims=(5, 4, 3)):
@@ -86,14 +100,14 @@ def test_loss_uniform_pair_is_ln2():
     g = from_rows(np.array([[0, 1]]), np.array([[0.5, 0.5]]),
                   np.zeros((2, 1)), 2)
     q = np.array([[0.5, 0.5]])
-    assert abs(loss(g, q) - np.log(2.0)) < 1e-12
+    assert abs(loss(g, on_support(g, q)) - np.log(2.0)) < 1e-12
 
 
 def test_loss_one_hot_limit_tends_to_zero():
     g = from_rows(np.array([[0, 1]]), np.array([[1.0, 0.0]]),
                   np.zeros((2, 1)), 2)
     q = np.array([[1.0 - 1e-12, 1e-12]])
-    value = loss(g, q)
+    value = loss(g, on_support(g, q))
     assert 0.0 < value < 1e-11
 
 
@@ -108,11 +122,11 @@ def test_loss_gibbs_inequality():
         q = rng.random((n, m)) + 1e-3
         q /= q.sum(axis=1, keepdims=True)
         h = sum(entropy(row) for row in w)
-        assert loss(g, q) >= h - 1e-12
+        assert loss(g, on_support(g, q)) >= h - 1e-12
         # equality iff the reconstruction matches p exactly
         q_exact = g.to_dense()
         q_exact[q_exact == 0] = 1e-300
-        assert abs(loss(g, q_exact) - h) < 1e-9
+        assert abs(loss(g, on_support(g, q_exact)) - h) < 1e-9
 
 
 def test_loss_underflow_clamps_and_warns():
@@ -120,7 +134,7 @@ def test_loss_underflow_clamps_and_warns():
                   np.zeros((2, 1)), 2)
     q = np.array([[0.0, 1.0]])
     with pytest.warns(RuntimeWarning, match="clamp"):
-        value = loss(g, q)
+        value = loss(g, on_support(g, q))
     assert np.isfinite(value)
 
 
@@ -133,13 +147,16 @@ def test_loss_shape_check():
 
 # --------------------------------------------------------------- backward
 
-def test_backward_zero_at_exact_reconstruction():
+def test_backward_zero_at_exact_reconstruction(monkeypatch):
     rng = make_rng(53)
     g, x, c, params = random_instance(rng)
     _, cache_s = conv_forward_samples(g, x, params)
     _, cache_a = conv_forward_anchors(g, c, params)
     q = g.to_dense()  # q identical to p => residual vanishes
-    grads = backward(g, cache_s, cache_a, params, q)
+    blocks = row_blocks(g.n, g.m)
+    monkeypatch.setattr(training, "decode",
+                        lambda z, z_t: q[next(blocks)].copy())
+    grads, _ = backward(g, cache_s, cache_a, params)
     for grad in grads:
         assert np.max(np.abs(grad)) < 1e-12
 
@@ -148,14 +165,14 @@ def test_backward_matches_central_differences():
     rng = make_rng(54)
     for trial in range(3):
         g, x, c, params = random_instance(rng)
-        z, cache_s = conv_forward_samples(g, x, params)
-        z_t, cache_a = conv_forward_anchors(g, c, params)
-        grads = backward(g, cache_s, cache_a, params, decode(z, z_t))
+        _, cache_s = conv_forward_samples(g, x, params)
+        _, cache_a = conv_forward_anchors(g, c, params)
+        grads, _ = backward(g, cache_s, cache_a, params)
 
         def value():
             z2, _ = conv_forward_samples(g, x, params, keep_cache=False)
             zt2, _ = conv_forward_anchors(g, c, params, keep_cache=False)
-            return loss(g, decode(z2, zt2))
+            return loss(g, on_support(g, decode(z2, zt2)))
 
         refs = numerical_grads(value, params)
         for analytic, ref in zip(grads, refs):
@@ -182,7 +199,7 @@ def test_backward_sums_both_siamese_branches():
     z, cache_s = conv_forward_samples(g, x, params)
     z_t, cache_a = conv_forward_anchors(g, c, params)
     q = decode(z, z_t)
-    total = backward(g, cache_s, cache_a, params, q)
+    total, _ = backward(g, cache_s, cache_a, params)
 
     from anchorgae.convolution import apply_anchor_adjacency_t, apply_sample_adjacency
     resid = -q.copy()
@@ -202,12 +219,145 @@ def test_backward_sums_both_siamese_branches():
 def test_backward_rejects_stale_cache():
     rng = make_rng(57)
     g, x, c, params = random_instance(rng)
-    z, cache_s = conv_forward_samples(g, x, params)
-    z_t, cache_a = conv_forward_anchors(g, c, params)
-    q = decode(z, z_t)
+    _, cache_s = conv_forward_samples(g, x, params)
+    _, cache_a = conv_forward_anchors(g, c, params)
     bigger = init_params([5, 4, 3, 3], make_rng(58))
     with pytest.raises(ValueError, match="cache"):
-        backward(g, cache_s, cache_a, bigger, q)
+        backward(g, cache_s, cache_a, bigger)
+
+
+# ------------------------------------------------------- blocked decoder
+
+def single_row_instance(rng, dims=(5, 4, 3)):
+    g = from_rows(np.array([[1, 0]]), np.array([[0.3, 0.7]]),
+                  np.zeros((2, dims[0])), 2)
+    return (g, rng.normal(size=(1, dims[0])), rng.normal(size=(2, dims[0])),
+            init_params(list(dims), rng))
+
+
+def assert_close(value, ref, tol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(np.asarray(value) - ref)) <= tol * scale
+
+
+# Rows per block: 1, 7 (does not divide n=23), n=23 and 40 (one block).
+@pytest.mark.parametrize("rows_per_block", [1, 7, 23, 40])
+@pytest.mark.parametrize("n", [23, 1])
+def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
+                                                  rows_per_block):
+    from anchorgae.convolution import (apply_anchor_adjacency_t,
+                                       apply_sample_adjacency)
+    rng = make_rng(66)
+    if n == 1:
+        g, x, c, params = single_row_instance(rng)
+    else:
+        g, x, c, params = random_instance(rng, n=n, m=6, k=3)
+    monkeypatch.setattr(training, "BLOCK_ENTRIES", rows_per_block * g.m)
+    blocks = list(row_blocks(g.n, g.m))
+    assert len(blocks) == -(-g.n // rows_per_block)
+    assert np.array_equal(np.concatenate([np.arange(g.n)[b] for b in blocks]),
+                          np.arange(g.n))
+
+    z, cache_s = conv_forward_samples(g, x, params)
+    z_t, cache_a = conv_forward_anchors(g, c, params)
+    grad_z, grad_zt, q_sup = _decoder_grads(g, z, z_t)
+    ref_z, ref_zt, ref_q = whole_matrix_decoder_grads(g, z, z_t)
+    assert_close(grad_z, ref_z)
+    assert_close(grad_zt, ref_zt)
+    assert_close(q_sup, on_support(g, ref_q))
+    assert_close(decode_on_support(g, z, z_t), on_support(g, ref_q))
+
+    grads, q_sup = backward(g, cache_s, cache_a, params)
+    ref_s = _branch_grads(g, cache_s, params, ref_z, apply_sample_adjacency)
+    ref_a = _branch_grads(g, cache_a, params, ref_zt, apply_anchor_adjacency_t)
+    for grad, s, a in zip(grads, ref_s, ref_a):
+        assert_close(grad, s + a)
+    assert_close(q_sup, on_support(g, ref_q))
+    assert_close(loss(g, q_sup), whole_matrix_loss(g, ref_q))
+
+
+def test_decode_in_place_softmax_same_bits_as_oracle():
+    rng = make_rng(67)
+    z = rng.normal(size=(300, 16)) * 5
+    z_t = rng.normal(size=(90, 16)) * 5
+    assert np.array_equal(decode(z, z_t), whole_matrix_decode(z, z_t))
+
+
+def test_underflow_warns_once_per_call_across_blocks(monkeypatch):
+    # Every row sits on anchor 0; its support anchors 1 and 2 lie so far
+    # away that q underflows to exactly 0 there, in each 1-row block.
+    monkeypatch.setattr(training, "BLOCK_ENTRIES", 1)
+    n = 5
+    g = from_rows(np.tile([1, 2], (n, 1)), np.full((n, 2), 0.5),
+                  np.zeros((3, 1)), 3)
+    z = np.zeros((n, 1))
+    z_t = np.array([[0.0], [100.0], [200.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, _, q_sup = _decoder_grads(g, z, z_t)
+        value = loss(g, q_sup)
+    assert (q_sup == 0.0).all()
+    assert np.isfinite(value)
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == [
+        "reconstruction underflowed to 0 on the graph support; "
+        "clamping before the log"]
+
+
+def test_train_nan_embeddings_raise_diverged(monkeypatch):
+    monkeypatch.setattr(training, "BLOCK_ENTRIES", 1)
+    rng = make_rng(68)
+    g, x, c, params = random_instance(rng)
+    params.layers[0][0, 0] = np.nan
+    with pytest.raises(TrainingDiverged, match="epoch 0"):
+        train(g, x, c, params, TrainConfig(inner_epochs=3))
+
+
+def test_blocked_pass_holds_no_sample_by_anchor_array():
+    n, m, k = 6000, 300, 5
+    rng = make_rng(69)
+    idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
+    idx[:m, 0] = np.arange(m)
+    w = rng.random((n, k)) + 0.05
+    w /= w.sum(axis=1, keepdims=True)
+    g = from_rows(idx, w, np.zeros((m, 4)), m)
+    x = rng.normal(size=(n, 4))
+    c = rng.normal(size=(m, 4))
+    params = init_params([4, 3, 2], rng)
+    z, cache_s = conv_forward_samples(g, x, params)
+    z_t, cache_a = conv_forward_anchors(g, c, params)
+    n_by_m_bytes = n * m * 8
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(lambda: backward(g, cache_s, cache_a, params)) \
+        < n_by_m_bytes
+    assert peak_bytes(lambda: decode_on_support(g, z, z_t)) < n_by_m_bytes
+    assert peak_bytes(lambda: train(g, x, c, params,
+                                    TrainConfig(inner_epochs=2))) \
+        < n_by_m_bytes
+
+
+def test_train_calls_loss_once_per_epoch(monkeypatch):
+    monkeypatch.setattr(training, "BLOCK_ENTRIES", 1)
+    calls = []
+    real_loss = training.loss
+
+    def counting_loss(g, q_sup):
+        calls.append(q_sup.shape)
+        return real_loss(g, q_sup)
+
+    monkeypatch.setattr(training, "loss", counting_loss)
+    rng = make_rng(70)
+    g, x, c, params = random_instance(rng)
+    train(g, x, c, params, TrainConfig(inner_epochs=4))
+    assert calls == [(g.n, g.k)] * 4
 
 
 # ------------------------------------------------------------------ train
@@ -284,11 +434,10 @@ def reaggregating_train(g, x, c, params, cfg):
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(cfg.inner_epochs):
-        z, cache_s = conv_forward_samples(g, x, params)
-        z_t, cache_a = conv_forward_anchors(g, c, params)
-        q = decode(z, z_t)
-        trace.append(loss(g, q))
-        grads = backward(g, cache_s, cache_a, params, q)
+        _, cache_s = conv_forward_samples(g, x, params)
+        _, cache_a = conv_forward_anchors(g, c, params)
+        grads, q_sup = backward(g, cache_s, cache_a, params)
+        trace.append(loss(g, q_sup))
         t = epoch + 1
         for w, grad, m1, v1 in zip(params.layers, grads, adam_m, adam_v):
             m1[...] = cfg.beta1 * m1 + (1.0 - cfg.beta1) * grad
