@@ -20,25 +20,40 @@ from .numerics import as_matrix, pairwise_sq_dist
 DEAD_ANCHOR_TOL = 1e-12
 
 
+def _dead_anchors(indices: np.ndarray, weights: np.ndarray, m: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor degrees (column sums of B) and the ids of the anchors whose
+    degree is at or below DEAD_ANCHOR_TOL."""
+    delta = np.bincount(indices.ravel(), weights=weights.ravel(), minlength=m)
+    return delta, np.flatnonzero(delta <= DEAD_ANCHOR_TOL)
+
+
 @dataclass
 class AnchorGraph:
     """k-sparse row-stochastic bipartite graph B (n x m) in fixed-width CSR form.
 
     indices[i] holds the k anchor ids of row i (ascending distance order),
-    weights[i] the matching probabilities (sum 1). delta is the vector of
-    anchor degrees (column sums of B) and anchors the anchor coordinates in
-    the space B was fitted in. The sparse form of B and the anchor adjacency
-    are built on first use and cached, so B must not change after.
+    weights[i] the matching probabilities (sum 1), and anchors the anchor
+    coordinates in the space B was fitted in. delta, the vector of anchor
+    degrees (column sums of B), is derived at construction, which raises
+    ValueError if any degree is at or below DEAD_ANCHOR_TOL: every operator
+    on the graph divides by delta. The sparse form of B and the anchor
+    adjacency are built on first use and cached, so B must not change after.
     """
 
     indices: np.ndarray
     weights: np.ndarray
-    delta: np.ndarray
     anchors: np.ndarray
     m: int
+    delta: np.ndarray = field(init=False)
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
     _anchor_adj: np.ndarray | None = field(default=None, repr=False,
                                            compare=False)
+
+    def __post_init__(self):
+        self.delta, dead = _dead_anchors(self.indices, self.weights, self.m)
+        if dead.size:
+            raise ValueError(f"anchors {dead.tolist()} have zero degree")
 
     @property
     def n(self) -> int:
@@ -79,18 +94,6 @@ class AnchorGraph:
     def bt_dot(self, x: np.ndarray) -> np.ndarray:
         """B^T @ x for x of shape (n, d); O(n k d)."""
         return self.csr().T @ x
-
-    def to_dense(self) -> np.ndarray:
-        """Dense n x m copy of B. Test/diagnostic scale only."""
-        return self.csr().toarray()
-
-
-def from_rows(indices: np.ndarray, weights: np.ndarray, anchors: np.ndarray,
-              m: int) -> AnchorGraph:
-    """Assemble an AnchorGraph from per-row support/weight arrays."""
-    delta = np.bincount(indices.ravel(), weights=weights.ravel(), minlength=m)
-    return AnchorGraph(indices=indices, weights=weights, delta=delta,
-                       anchors=anchors, m=m)
 
 
 @dataclass
@@ -183,9 +186,6 @@ def solve_connectivity_row(dists: np.ndarray, k: int) -> np.ndarray:
 def update_anchors(x_mapped: np.ndarray, g: AnchorGraph) -> np.ndarray:
     """Each anchor moves to the B-weighted mean of the samples: row j of the
     result is sum_i b_ij x_i / delta_j."""
-    if np.any(g.delta <= DEAD_ANCHOR_TOL):
-        dead = np.flatnonzero(g.delta <= DEAD_ANCHOR_TOL)
-        raise ValueError(f"anchors {dead.tolist()} have zero degree")
     return g.bt_dot(x_mapped) / g.delta[:, None]
 
 
@@ -238,8 +238,6 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
         raise ValueError(
             f"anchor dim {anchors.shape[1]} != sample dim {x.shape[1]}")
     m = anchors.shape[0]
-    if not (1 <= cfg.k < m):
-        raise ValueError(f"need 1 <= k < m={m}, got k={cfg.k}")
 
     # Later anchors are sample means or samples, so inputs that pass this
     # check do not overflow later; checked once, not per iteration, and
@@ -252,27 +250,22 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
             f"squared distances overflow float64: the largest |feature| is "
             f"{scale:.3g}; rescale the input (e.g. min-max scaling)")
     prev_obj = None
-    g = None
     for _ in range(cfg.max_iters):
-        anchors_in = anchors.copy()
-        support, weights, gamma = _solve_rows(dists, cfg.k, uniform=uniform_rows)
-        g = from_rows(support, weights, anchors_in, m)
-
         # Dead anchors would make delta singular; re-seed and re-solve.
-        attempts = 0
-        while np.any(g.delta <= DEAD_ANCHOR_TOL):
-            dead = np.flatnonzero(g.delta <= DEAD_ANCHOR_TOL)
-            _reseed_dead_anchors(x, anchors, dists, dead)
-            anchors_in = anchors.copy()
-            support, weights, gamma = _solve_rows(dists, cfg.k, uniform=uniform_rows)
-            g = from_rows(support, weights, anchors_in, m)
-            attempts += 1
-            if attempts > m:
+        for attempt in range(m + 1):
+            support, weights, gamma = _solve_rows(dists, cfg.k,
+                                                  uniform=uniform_rows)
+            _, dead = _dead_anchors(support, weights, m)
+            if not dead.size:
+                break
+            if attempt == m:
                 distinct = np.unique(x, axis=0).shape[0]
                 raise ValueError(
                     f"could not re-seed anchors to positive degree: the "
                     f"{x.shape[0]} points fitted have {distinct} distinct "
                     f"rows for m={m} anchors; use fewer anchors")
+            _reseed_dead_anchors(x, anchors, dists, dead)
+        g = AnchorGraph(support, weights, anchors, m)
 
         d_sup = np.take_along_axis(dists, support, axis=1)
         if uniform_rows:
@@ -281,7 +274,7 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
             obj = _objective(d_sup, weights, gamma, m)
         if history is not None:
             history.append({
-                "anchors_in": anchors_in,
+                "anchors_in": g.anchors,
                 "indices": support.copy(),
                 "weights": weights.copy(),
                 "objective": obj,
@@ -296,21 +289,5 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
                 break
         prev_obj = obj
 
-    return AnchorGraph(indices=g.indices, weights=g.weights, delta=g.delta,
-                       anchors=anchors, m=m)
+    return AnchorGraph(g.indices, g.weights, anchors, m)
 
-
-def dense_adjacency(g: AnchorGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Materialized adjacencies (sample side n x n, anchor side m x m).
-
-    Both are row-stochastic by construction. Only tests and the benchmark
-    reference path call this; production never forms the n x n matrix and
-    forms the m x m one sparsely (AnchorGraph.anchor_adjacency).
-    """
-    if np.any(g.delta <= DEAD_ANCHOR_TOL):
-        raise ValueError("zero-degree anchor; adjacency undefined")
-    b = g.to_dense()
-    b_scaled = b / g.delta[None, :]
-    a = b_scaled @ b.T
-    a_t = (b.T @ b) / g.delta[:, None]
-    return a, a_t

@@ -1,5 +1,6 @@
-"""Command-line surface: end-to-end clustering runs, the linear-scaling
-benchmark, the collapse demonstration, and metric evaluation of label files.
+"""Command-line surface: end-to-end clustering runs (fit), the collapse
+demonstration (collapse-demo), and metric evaluation of label files (eval).
+Performance is measured by the perfbench harness, not by a subcommand.
 
 Heavy imports happen inside the command handlers so the ANCHORGAE_THREADS
 cap can be applied to the BLAS pools before numpy loads.
@@ -11,7 +12,6 @@ import io
 import os
 import sys
 import time
-from pathlib import Path
 
 _THREAD_LIMITER = None
 
@@ -105,20 +105,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--embedding-out", help="embedding CSV path")
     fit.set_defaults(func=cmd_fit)
 
-    bench = sub.add_parser("bench", help="forward-pass scaling benchmark")
-    bench.add_argument("--sizes", type=_int_list, required=True,
-                       help="ascending sample counts, e.g. 10000,20000,40000")
-    bench.add_argument("--anchors", type=int, default=200)
-    bench.add_argument("--dim", type=int, default=64)
-    bench.add_argument("--layers", type=_int_list, default=[128, 64])
-    bench.add_argument("--row-sparsity", type=int, default=4)
-    bench.add_argument("--reps", type=int, default=5)
-    bench.add_argument("--dense-cap", type=int, default=3000,
-                       help="skip the dense reference above this n")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", required=True, help="scaling CSV path")
-    bench.set_defaults(func=cmd_bench)
-
     demo = sub.add_parser("collapse-demo",
                           help="run fixed-k and full modes side by side")
     _add_dataset_flags(demo)
@@ -157,9 +143,12 @@ def _load_dataset(args):
     return ds
 
 
-def _pipeline_config(args, n: int):
+def _pipeline_config(args):
     from .pipeline import AnchorGaeConfig
 
+    if not 2 <= args.clusters <= args.anchors:
+        raise ConfigError(f"--clusters must be between 2 and --anchors="
+                          f"{args.anchors}, got {args.clusters}")
     try:
         return AnchorGaeConfig(
             clusters=args.clusters,
@@ -202,10 +191,8 @@ def cmd_fit(args) -> int:
     from .clustering import spectral_via_svd
     from .pipeline import run_anchorgae
 
+    config = _pipeline_config(args)
     ds = _load_dataset(args)
-    if args.clusters < 2:
-        raise ConfigError("--clusters must be >= 2 for fit")
-    config = _pipeline_config(args, ds.n)
 
     start = time.perf_counter()
     result = run_anchorgae(ds.x, config)
@@ -237,115 +224,17 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _random_bench_graph(n: int, m: int, k: int, rng):
-    import numpy as np
-
-    from .anchor_graph import from_rows
-
-    idx = np.argsort(rng.random((n, m)), axis=1)[:, :k]
-    for j in range(m):  # every anchor needs positive degree
-        if j not in idx[j]:
-            idx[j, 0] = j
-    w = rng.random((n, k)) + 0.1
-    w /= w.sum(axis=1, keepdims=True)
-    return from_rows(idx, w, np.zeros((m, 1)), m)
-
-
-def _dense_forward(a, x, params):
-    import numpy as np
-
-    h = x
-    for w, tag in zip(params.layers, params.activations):
-        h = (a @ h) @ w
-        if tag == "relu":
-            h = np.maximum(h, 0.0)
-    return h
-
-
-def cmd_bench(args) -> int:
-    import numpy as np
-
-    from .anchor_graph import dense_adjacency
-    from .convolution import conv_forward_samples, init_params
-    from .numerics import make_rng
-    from .report import atomic_write_text
-
-    sizes = args.sizes
-    if sizes != sorted(sizes):
-        raise ConfigError("--sizes must be ascending")
-    if args.row_sparsity >= args.anchors:
-        raise ConfigError("--row-sparsity must be below --anchors")
-    if args.row_sparsity >= 200:
-        raise ConfigError("--row-sparsity must be below 200 (the dense "
-                          "spot-check runs at n=200)")
-    rng = make_rng(args.seed)
-    dims = [args.dim, *args.layers]
-
-    # Correctness spot-check: the factored path must match the dense one.
-    m_check = max(min(args.anchors, 20), args.row_sparsity + 1)
-    g0 = _random_bench_graph(200, m_check, args.row_sparsity, rng)
-    x0 = rng.normal(size=(200, args.dim))
-    params0 = init_params(dims, rng)
-    z0, _ = conv_forward_samples(g0, x0, params0, keep_cache=False)
-    ref = _dense_forward(dense_adjacency(g0)[0], x0, params0)
-    err = float(np.max(np.abs(z0 - ref)))
-    if err > 1e-8:
-        raise RuntimeError(f"factored/dense mismatch {err:.3e} at n=200")
-
-    rows = []
-    for n in sizes:
-        g = _random_bench_graph(n, args.anchors, args.row_sparsity, rng)
-        x = rng.normal(size=(n, args.dim))
-        params = init_params(dims, rng)
-        conv_forward_samples(g, x, params, keep_cache=False)  # warm-up
-        times = []
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            conv_forward_samples(g, x, params, keep_cache=False)
-            times.append(time.perf_counter() - t0)
-        t_factored = float(np.median(times))
-
-        t_dense = float("inf")
-        if n <= args.dense_cap:
-            try:
-                a = dense_adjacency(g)[0]
-                _dense_forward(a, x, params)
-                dense_times = []
-                for _ in range(args.reps):
-                    t0 = time.perf_counter()
-                    _dense_forward(a, x, params)
-                    dense_times.append(time.perf_counter() - t0)
-                t_dense = float(np.median(dense_times))
-            except MemoryError:
-                t_dense = float("inf")
-        rows.append((n, t_factored, t_dense))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "t_factored", "t_dense"])
-    for n, t_f, t_d in rows:
-        writer.writerow([n, f"{t_f:.6g}", "inf" if t_d == float("inf") else f"{t_d:.6g}"])
-    atomic_write_text(args.out, buf.getvalue())
-
-    for n, t_f, t_d in rows:
-        dense_part = "inf" if t_d == float("inf") else f"{t_d * 1e3:.2f}ms"
-        print(f"bench: n={n} factored={t_f * 1e3:.2f}ms dense={dense_part}")
-    return 0
-
-
 def cmd_collapse_demo(args) -> int:
     from . import metrics
     from .clustering import spectral_via_svd
     from .pipeline import run_anchorgae
     from .report import atomic_write_text
 
+    config = _pipeline_config(args)
     ds = _load_dataset(args)
-    if args.clusters < 2:
-        raise ConfigError("--clusters must be >= 2 for collapse-demo")
 
     results = {}
     for mode in ("fixed_k", "full"):
-        config = _pipeline_config(args, ds.n)
         config.mode = mode
         results[mode] = run_anchorgae(ds.x, config, record_graphs=True)
 
@@ -374,7 +263,6 @@ def cmd_collapse_demo(args) -> int:
 
 def cmd_eval(args) -> int:
     import json
-    from dataclasses import asdict
 
     from . import metrics
     from .data_io import load_labels_csv
@@ -383,13 +271,12 @@ def cmd_eval(args) -> int:
     start = time.perf_counter()
     pred = load_labels_csv(args.pred)
     truth = load_labels_csv(args.truth)
-    result = metrics.EvalReport(acc=metrics.acc(pred, truth),
-                                nmi=metrics.nmi(pred, truth),
-                                runtime_seconds=time.perf_counter() - start)
+    result = {"acc": metrics.acc(pred, truth), "nmi": metrics.nmi(pred, truth),
+              "runtime_seconds": time.perf_counter() - start}
     if args.report:
         atomic_write_text(args.report,
-                          json.dumps(asdict(result), indent=2, sort_keys=True) + "\n")
-    print(f"eval: acc={result.acc:.4f} nmi={result.nmi:.4f}")
+                          json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"eval: acc={result['acc']:.4f} nmi={result['nmi']:.4f}")
     return 0
 
 

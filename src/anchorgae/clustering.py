@@ -99,8 +99,6 @@ def spectral_via_svd(g: AnchorGraph, c: int, seed: int = 0,
     """
     if not (1 <= c <= g.m):
         raise ValueError(f"need 1 <= c <= m={g.m}, got c={c}")
-    if np.any(g.delta <= 0):
-        raise ValueError("zero-degree anchor; spectral route undefined")
     b_hat = g.csr().multiply(1.0 / np.sqrt(g.delta)[None, :]).tocsr()
     gram = (b_hat.T @ b_hat).toarray()
     eigvals, u = sym_eig_topc(gram, c)

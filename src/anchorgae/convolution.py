@@ -100,8 +100,6 @@ def _forward(g: AnchorGraph, x: np.ndarray, params: EncoderParams,
     if x.shape[1] != params.layers[0].shape[0]:
         raise ValueError(
             f"input dim {x.shape[1]} != first layer dim {params.layers[0].shape[0]}")
-    if np.any(g.delta <= 0):
-        raise ValueError("zero-degree anchor; convolution undefined")
     if aggregated_x is None:
         aggregated_x = apply_adj(g, x)
     elif aggregated_x.shape != x.shape:

@@ -1,17 +1,8 @@
 """Clustering quality measures: accuracy under the optimal label matching
 and normalized mutual information (geometric-mean normalizer)."""
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-
-@dataclass
-class EvalReport:
-    acc: float
-    nmi: float
-    runtime_seconds: float
 
 
 def _contingency(pred, truth) -> np.ndarray:

@@ -21,10 +21,14 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 2-D array, copying only if needed."""
+    """Coerce to a finite, non-empty float64 2-D array, copying only if
+    needed."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+    if 0 in a.shape:
+        raise ValueError(f"{name} needs at least one row and one column, "
+                         f"got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a

@@ -122,8 +122,6 @@ def pullback_anchors(x: np.ndarray, g: AnchorGraph) -> np.ndarray:
     """Estimate anchors in the original feature space as the degree-
     normalized B-weighted mean of the raw samples, so each anchor stays in
     the convex hull of the data."""
-    if np.any(g.delta <= 0):
-        raise ValueError("zero-degree anchor; pullback undefined")
     return g.bt_dot(np.asarray(x, dtype=np.float64)) / g.delta[:, None]
 
 
@@ -143,8 +141,6 @@ class AnchorGaeConfig:
     n_s: int | None = None
     seed: int = 0
     fit_max_iters: int = 30
-    fit_tol: float = 1e-6
-    grad_clip: float | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -156,8 +152,9 @@ class AnchorGaeConfig:
                 f"anchors={self.anchors} must exceed k0={self.k0}")
         if self.outer_epochs < 0:
             raise ValueError(f"outer_epochs must be >= 0, got {self.outer_epochs}")
-        if not self.hidden_dims:
-            raise ValueError("hidden_dims must name at least one layer width")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ValueError(f"hidden_dims must be one or more layer widths "
+                             f">= 1, got {list(self.hidden_dims)}")
 
 
 @dataclass
@@ -195,6 +192,9 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
+    train_cfg = TrainConfig(inner_epochs=config.inner_epochs,
+                            learning_rate=config.learning_rate,
+                            optimizer=config.optimizer)
     rng_anchor, rng_params = spawn_rngs(config.seed, 2)
     uniform_rows = config.mode == "knn"
 
@@ -205,16 +205,11 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
 
     anchors0 = init_anchors(x, config.anchors, rng_anchor)
     g = _stage("initial graph fit", lambda: fit_anchor_graph(
-        x, anchors0,
-        ConnectivitySolveConfig(k, config.fit_max_iters, config.fit_tol),
+        x, anchors0, ConnectivitySolveConfig(k, config.fit_max_iters),
         uniform_rows=uniform_rows))
     c_input = g.anchors
 
     params = init_params([x.shape[1], *config.hidden_dims], rng_params)
-    train_cfg = TrainConfig(inner_epochs=config.inner_epochs,
-                            learning_rate=config.learning_rate,
-                            optimizer=config.optimizer,
-                            grad_clip=config.grad_clip)
 
     diagnostics: list[CollapseEntry] = []
     loss_traces: list[np.ndarray] = []
@@ -250,8 +245,7 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
             g = _stage(f"outer iteration {t}, graph refit",
                        lambda: fit_anchor_graph(
                            z, z_t,
-                           ConnectivitySolveConfig(k, config.fit_max_iters,
-                                                   config.fit_tol),
+                           ConnectivitySolveConfig(k, config.fit_max_iters),
                            uniform_rows=uniform_rows))
             c_input = pullback_anchors(x, g)
             aggregated = aggregate(g, c_input)

@@ -39,6 +39,11 @@ Q_FLOOR = 1e-300
 # 2**15 to 2**18 time alike and 2**12 is up to 1.6x slower.
 BLOCK_ENTRIES = 2 ** 16
 
+# Adam moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss stops being finite."""
@@ -51,16 +56,13 @@ class TrainConfig:
     inner_epochs: int = 200
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float | None = None
 
     def __post_init__(self):
         if self.inner_epochs < 1:
             raise ValueError(f"inner_epochs must be >= 1, got {self.inner_epochs}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got "
+                             f"{self.learning_rate}")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"optimizer must be 'gd' or 'adam', got {self.optimizer!r}")
 
@@ -180,14 +182,6 @@ def backward(g: AnchorGraph, sample_cache: ForwardCache,
     return [gs + ga for gs, ga in zip(grads_s, grads_a)], q_sup
 
 
-def _clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    total = np.sqrt(sum(float(np.sum(grad * grad)) for grad in grads))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        return [grad * scale for grad in grads]
-    return grads
-
-
 def train(g: AnchorGraph, x: np.ndarray, c: np.ndarray, params: EncoderParams,
           cfg: TrainConfig,
           aggregated: tuple[np.ndarray, np.ndarray] | None = None,
@@ -216,20 +210,17 @@ def train(g: AnchorGraph, x: np.ndarray, c: np.ndarray, params: EncoderParams,
             raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")
         trace[epoch] = value
 
-        if cfg.grad_clip is not None:
-            grads = _clip_grads(grads, cfg.grad_clip)
-
         if cfg.optimizer == "gd":
             for w, grad in zip(params.layers, grads):
                 w -= cfg.learning_rate * grad
         else:
             t = epoch + 1
-            bc1 = 1.0 - cfg.beta1 ** t
-            bc2 = 1.0 - cfg.beta2 ** t
+            bc1 = 1.0 - ADAM_BETA1 ** t
+            bc2 = 1.0 - ADAM_BETA2 ** t
             for w, grad, m1, v1 in zip(params.layers, grads, adam_m, adam_v):
-                m1 *= cfg.beta1
-                m1 += (1.0 - cfg.beta1) * grad
-                v1 *= cfg.beta2
-                v1 += (1.0 - cfg.beta2) * grad * grad
-                w -= cfg.learning_rate * (m1 / bc1) / (np.sqrt(v1 / bc2) + cfg.eps)
+                m1 *= ADAM_BETA1
+                m1 += (1.0 - ADAM_BETA1) * grad
+                v1 *= ADAM_BETA2
+                v1 += (1.0 - ADAM_BETA2) * grad * grad
+                w -= cfg.learning_rate * (m1 / bc1) / (np.sqrt(v1 / bc2) + ADAM_EPS)
     return params, trace

@@ -1,12 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loops, dense matrices, brute force)
-and shares no code with the production paths it checks.
+and shares no code with the production paths it checks; random_bench_graph
+only builds inputs.
 """
 
 import itertools
 
 import numpy as np
+
+from anchorgae.anchor_graph import AnchorGraph
 
 
 def matmul_loops(a, b):
@@ -123,9 +126,19 @@ def dense_adjacencies(indices, weights, m):
 def normalize_anchor_side(g):
     """Anchor-to-sample transition matrix (m x n): column j of B divided by
     its degree, so each anchor row is a distribution over samples."""
-    if np.any(g.delta <= 1e-12):
-        raise ValueError("zero-degree anchor; graph is not normalizable")
-    return (g.to_dense() / g.delta[None, :]).T
+    return (g.csr().toarray() / g.delta[None, :]).T
+
+
+def random_bench_graph(n, m, k, rng):
+    """Random k-sparse graph with every anchor referenced: row j holds
+    anchor j for j < m, the other picks and the weights are uniform draws."""
+    idx = np.argsort(rng.random((n, m)), axis=1)[:, :k]
+    for j in range(m):
+        if j not in idx[j]:
+            idx[j, 0] = j
+    w = rng.random((n, k)) + 0.1
+    w /= w.sum(axis=1, keepdims=True)
+    return AnchorGraph(idx, w, np.zeros((m, 1)), m)
 
 
 def factored_anchor_adjacency(g, h):

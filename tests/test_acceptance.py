@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from anchorgae.anchor_graph import (
+    AnchorGraph,
     ConnectivitySolveConfig,
-    dense_adjacency,
     fit_anchor_graph,
     init_anchors,
     solve_connectivity_row,
@@ -27,10 +27,12 @@ from anchorgae.pipeline import AnchorGaeConfig, run_anchorgae
 from anchorgae.training import TrainConfig, backward, decode, loss, train
 from oracles import (
     brute_force_acc,
+    dense_adjacencies,
     dense_gcn_forward,
     numerical_grads,
     on_support,
     projected_gradient_row,
+    random_bench_graph,
 )
 
 pytestmark = pytest.mark.slow
@@ -111,7 +113,7 @@ def test_c02_degree_identities_on_fitted_graphs():
         x = rng.normal(size=(n, int(rng.integers(2, 5))))
         g = fit_anchor_graph(x, init_anchors(x, m, rng),
                              ConnectivitySolveConfig(k=k, max_iters=8))
-        a, a_t = dense_adjacency(g)
+        _, a, a_t = dense_adjacencies(g.indices, g.weights, g.m)
         worst_a = max(worst_a, float(np.max(np.abs(a.sum(1) - 1.0))))
         worst_at = max(worst_at, float(np.max(np.abs(a_t.sum(1) - 1.0))))
     elapsed = time.perf_counter() - start
@@ -138,12 +140,11 @@ def test_c03_factored_equals_dense_convolution():
                 idx[j % n, 0] = j
         w = rng.random((n, k)) + 0.05
         w /= w.sum(axis=1, keepdims=True)
-        from anchorgae.anchor_graph import from_rows
-        g = from_rows(idx, w, np.zeros((m, d)), m)
+        g = AnchorGraph(idx, w, np.zeros((m, d)), m)
         x = rng.normal(size=(n, d))
         c = rng.normal(size=(m, d))
         params = init_params([d, int(rng.integers(3, 9)), 3], rng)
-        a, a_t = dense_adjacency(g)
+        _, a, a_t = dense_adjacencies(g.indices, g.weights, g.m)
         z, _ = conv_forward_samples(g, x, params, keep_cache=False)
         z_t, _ = conv_forward_anchors(g, c, params, keep_cache=False)
         worst = max(worst, float(np.max(np.abs(z - dense_gcn_forward(a, x, params)))))
@@ -174,8 +175,7 @@ def test_c04_analytic_gradients_match_finite_differences():
         idx = np.asarray(fixed)
         w = rng.random((n, k)) + 0.05
         w /= w.sum(axis=1, keepdims=True)
-        from anchorgae.anchor_graph import from_rows
-        g = from_rows(idx, w, np.zeros((m, 5)), m)
+        g = AnchorGraph(idx, w, np.zeros((m, 5)), m)
         x = rng.normal(size=(n, 5))
         c = rng.normal(size=(m, 5))
         params = init_params([5, 4, 3], rng)
@@ -201,14 +201,12 @@ def test_c04_analytic_gradients_match_finite_differences():
 
 
 def test_c05_linear_scaling_witness():
-    from anchorgae.cli import _random_bench_graph
-
     start = time.perf_counter()
     rng = make_rng(1005)
     params = init_params([64, 128, 64], rng)
     medians = {}
     for n in (10_000, 20_000, 40_000):
-        g = _random_bench_graph(n, 200, 4, rng)
+        g = random_bench_graph(n, 200, 4, rng)
         x = rng.normal(size=(n, 64))
         conv_forward_samples(g, x, params, keep_cache=False)  # warm-up
         reps = []
@@ -239,7 +237,7 @@ def test_c06_spectral_route_matches_dense_eigendecomposition():
         g = fit_anchor_graph(ds.x, init_anchors(ds.x, 3 * c, rng),
                              ConnectivitySolveConfig(k=2))
         v, _, _ = spectral_via_svd(g, c)
-        a, _ = dense_adjacency(g)
+        _, a, _ = dense_adjacencies(g.indices, g.weights, g.m)
         _, vecs = np.linalg.eigh(a)
         qa, _ = np.linalg.qr(v)
         qb, _ = np.linalg.qr(vecs[:, -c:])

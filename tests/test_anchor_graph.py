@@ -7,13 +7,12 @@ from anchorgae.anchor_graph import (
     AnchorGraph,
     ConnectivitySolveConfig,
     _solve_rows,
-    dense_adjacency,
     fit_anchor_graph,
-    from_rows,
     init_anchors,
     solve_connectivity_row,
     update_anchors,
 )
+from anchorgae.convolution import apply_sample_adjacency
 from anchorgae.numerics import make_rng, pairwise_sq_dist
 from oracles import (
     dense_adjacencies,
@@ -158,15 +157,15 @@ def test_row_rejects_bad_inputs():
 # --------------------------------------------------------- anchor update
 
 def test_update_anchors_unweighted_mean():
-    g = from_rows(np.array([[0], [0]]), np.array([[1.0], [1.0]]),
-                  np.zeros((1, 2)), 1)
+    g = AnchorGraph(np.array([[0], [0]]), np.array([[1.0], [1.0]]),
+                    np.zeros((1, 2)), 1)
     x = np.array([[0.0, 0.0], [2.0, 2.0]])
     assert np.allclose(update_anchors(x, g), [[1.0, 1.0]])
 
 
 def test_update_anchors_identity_assignment():
     n = 5
-    g = from_rows(np.arange(n)[:, None], np.ones((n, 1)), np.zeros((n, 3)), n)
+    g = AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)), np.zeros((n, 3)), n)
     x = make_rng(26).normal(size=(n, 3))
     assert np.allclose(update_anchors(x, g), x)
 
@@ -177,7 +176,7 @@ def test_update_anchors_matches_loop_oracle():
     idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
     w = rng.random((n, k))
     w /= w.sum(axis=1, keepdims=True)
-    g = from_rows(idx, w, np.zeros((m, d)), m)
+    g = AnchorGraph(idx, w, np.zeros((m, d)), m)
     x = rng.normal(size=(n, d))
     expected = np.zeros((m, d))
     mass = np.zeros(m)
@@ -189,11 +188,17 @@ def test_update_anchors_matches_loop_oracle():
     assert np.max(np.abs(update_anchors(x, g) - expected)) < 1e-12
 
 
-def test_update_anchors_rejects_dead_anchor():
-    g = from_rows(np.array([[0], [0]]), np.array([[1.0], [1.0]]),
-                  np.zeros((2, 2)), 2)  # anchor 1 never referenced
-    with pytest.raises(ValueError, match="zero degree"):
-        update_anchors(np.zeros((2, 2)), g)
+def test_graph_rejects_dead_anchors():
+    with pytest.raises(ValueError, match=r"anchors \[1, 2\] have zero degree"):
+        AnchorGraph(np.array([[0], [0]]), np.array([[1.0], [1.0]]),
+                    np.zeros((3, 2)), 3)  # anchors 1 and 2 never referenced
+    idx = np.array([[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match=r"anchors \[1\] have zero degree"):
+        AnchorGraph(idx, np.array([[1.0, 0.0], [1.0 - 1e-13, 1e-13]]),
+                    np.zeros((2, 2)), 2)  # degree 1e-13, below the tolerance
+    g = AnchorGraph(idx, np.array([[1.0, 0.0], [1.0 - 1e-11, 1e-11]]),
+                    np.zeros((2, 2)), 2)
+    assert np.allclose(g.delta, [2.0 - 1e-11, 1e-11], rtol=0, atol=1e-20)
 
 
 # ------------------------------------------------------------------ fit
@@ -202,7 +207,7 @@ def test_fit_separates_two_clouds():
     x = two_clouds()
     anchors0 = np.vstack([x[0], x[20]])
     g = fit_anchor_graph(x, anchors0, ConnectivitySolveConfig(k=1))
-    b = g.to_dense()
+    b = g.csr().toarray()
     # brute force over the two possible anchor assignments per sample
     d = pairwise_sq_dist(x, g.anchors)
     for i in range(40):
@@ -214,7 +219,7 @@ def test_fit_separates_two_clouds():
 def test_fit_self_anchors_fixed_point():
     x = make_rng(31).normal(size=(6, 2)) * 5
     g = fit_anchor_graph(x, x, ConnectivitySolveConfig(k=1))
-    assert np.allclose(g.to_dense(), np.eye(6))
+    assert np.allclose(g.csr().toarray(), np.eye(6))
 
 
 def test_fit_rows_sum_to_one_with_k_support():
@@ -226,7 +231,7 @@ def test_fit_rows_sum_to_one_with_k_support():
     assert g.indices.shape == (50, 3)
     for row in g.indices:
         assert len(set(row.tolist())) == 3
-    assert np.max(np.abs(g.delta - g.to_dense().sum(axis=0))) < 1e-10
+    assert np.max(np.abs(g.delta - g.csr().toarray().sum(axis=0))) < 1e-10
     assert (g.delta > 0).all()
 
 
@@ -318,15 +323,15 @@ def test_fit_reseeds_dead_anchor():
 # ----------------------------------------------- normalization / adjacency
 
 def test_normalize_anchor_side_hand_case():
-    g = from_rows(np.array([[0, 1], [0, 1]]),
-                  np.array([[1.0, 0.0], [0.5, 0.5]]), np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0, 1], [0, 1]]),
+                    np.array([[1.0, 0.0], [0.5, 0.5]]), np.zeros((2, 1)), 2)
     out = normalize_anchor_side(g)
     assert np.allclose(g.delta, [1.5, 0.5])
     assert np.allclose(out, [[2 / 3, 1 / 3], [0.0, 1.0]])
 
 
 def test_normalize_anchor_side_identity():
-    g = from_rows(np.arange(3)[:, None], np.ones((3, 1)), np.zeros((3, 1)), 3)
+    g = AnchorGraph(np.arange(3)[:, None], np.ones((3, 1)), np.zeros((3, 1)), 3)
     assert np.allclose(normalize_anchor_side(g), np.eye(3))
 
 
@@ -335,17 +340,15 @@ def test_normalize_anchor_side_rows_sum_to_one():
     idx = np.stack([rng.choice(5, size=2, replace=False) for _ in range(20)])
     w = rng.random((20, 2))
     w /= w.sum(axis=1, keepdims=True)
-    g = from_rows(idx, w, np.zeros((5, 1)), 5)
-    if (g.delta > 0).all():
-        out = normalize_anchor_side(g)
-        assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-10
+    g = AnchorGraph(idx, w, np.zeros((5, 1)), 5)
+    out = normalize_anchor_side(g)
+    assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-10
 
 
 def test_dense_adjacency_identity_graph():
-    g = from_rows(np.arange(4)[:, None], np.ones((4, 1)), np.zeros((4, 1)), 4)
-    a, a_t = dense_adjacency(g)
-    assert np.allclose(a, np.eye(4))
-    assert np.allclose(a_t, np.eye(4))
+    g = AnchorGraph(np.arange(4)[:, None], np.ones((4, 1)), np.zeros((4, 1)), 4)
+    assert np.allclose(apply_sample_adjacency(g, np.eye(4)), np.eye(4))
+    assert np.allclose(g.anchor_adjacency(), np.eye(4))
 
 
 def test_dense_adjacency_row_stochastic_and_symmetric():
@@ -359,8 +362,8 @@ def test_dense_adjacency_row_stochastic_and_symmetric():
                         for row in idx])
         w = rng.random((n, k)) + 0.05
         w /= w.sum(axis=1, keepdims=True)
-        g = from_rows(idx, w, np.zeros((m, 1)), m)
-        a, a_t = dense_adjacency(g)
+        g = AnchorGraph(idx, w, np.zeros((m, 1)), m)
+        a, a_t = apply_sample_adjacency(g, np.eye(n)), g.anchor_adjacency()
         assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10
         assert np.max(np.abs(a_t.sum(axis=1) - 1.0)) < 1e-10
         assert np.max(np.abs(a - a.T)) < 1e-12
@@ -370,11 +373,12 @@ def test_dense_adjacency_row_stochastic_and_symmetric():
 
 
 def test_dense_adjacency_three_row_example():
-    g = from_rows(np.array([[0, 1], [1, 0], [0, 1]]),
-                  np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]),
-                  np.zeros((2, 1)), 2)
-    a, _ = dense_adjacency(g)
+    g = AnchorGraph(np.array([[0, 1], [1, 0], [0, 1]]),
+                    np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]),
+                    np.zeros((2, 1)), 2)
+    a = apply_sample_adjacency(g, np.eye(3))
     assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10
+    assert np.max(np.abs(a - a.T)) < 1e-12
 
 
 def test_graph_b_products_match_dense():
@@ -382,8 +386,8 @@ def test_graph_b_products_match_dense():
     idx = np.stack([rng.choice(7, size=3, replace=False) for _ in range(15)])
     w = rng.random((15, 3))
     w /= w.sum(axis=1, keepdims=True)
-    g = from_rows(idx, w, np.zeros((7, 2)), 7)
-    b = g.to_dense()
+    g = AnchorGraph(idx, w, np.zeros((7, 2)), 7)
+    b = g.csr().toarray()
     y = rng.normal(size=(7, 4))
     x = rng.normal(size=(15, 4))
     assert np.max(np.abs(g.b_dot(y) - b @ y)) < 1e-12

@@ -121,6 +121,41 @@ def test_fit_single_cluster_rejected(tmp_path):
     assert code == 1
 
 
+def test_bench_is_an_unknown_command():
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "400", "--out", "scaling.csv"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("flags, cause", [
+    (["--lr", "nan"], "learning_rate"),
+    (["--lr", "inf"], "learning_rate"),
+    (["--inner-epochs", "0"], "inner_epochs"),
+    (["--layers", "0"], "hidden_dims"),
+    (["--dim", "0"], "x needs at least one row and one column"),
+], ids=["lr-nan", "lr-inf", "inner-epochs-0", "layers-0", "dim-0"])
+def test_fit_bad_setting_exit_1_before_graph_fit(tmp_path, capsys,
+                                                 monkeypatch, flags, cause):
+    def fail(*args, **kwargs):
+        raise AssertionError("a graph fit ran before the bad flag was caught")
+    monkeypatch.setattr("anchorgae.pipeline.fit_anchor_graph", fail)
+    assert main(fit_args(tmp_path) + flags) == 1  # the last value wins
+    err = capsys.readouterr().err
+    assert cause in err and "runtime failure" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_fit_more_clusters_than_anchors_exit_1_before_run(tmp_path, capsys,
+                                                          monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("run_anchorgae ran with --clusters > --anchors")
+    monkeypatch.setattr("anchorgae.pipeline.run_anchorgae", fail)
+    args = fit_args(tmp_path, clusters=30, anchors=25)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "--clusters" in err and "--anchors=25" in err and "30" in err
+
+
 def test_report_loader_rejects_unknown_fields(tmp_path):
     good = {
         "schema_version": 1, "code_version": "x", "config": {}, "acc": None,
@@ -139,26 +174,6 @@ def test_report_loader_rejects_unknown_fields(tmp_path):
     p.write_text(json.dumps(missing))
     with pytest.raises(ValueError, match="missing"):
         load_report(p)
-
-
-def test_bench_writes_csv_with_inf_sentinel(tmp_path):
-    out = tmp_path / "scaling.csv"
-    code = main(["bench", "--sizes", "400,800", "--anchors", "50",
-                 "--dim", "16", "--layers", "24,8", "--reps", "3",
-                 "--dense-cap", "500", "--seed", "3", "--out", str(out)])
-    assert code == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [int(r["n"]) for r in rows] == [400, 800]
-    assert float(rows[0]["t_factored"]) > 0
-    assert float(rows[0]["t_dense"]) > 0      # below the cap: measured
-    assert rows[1]["t_dense"] == "inf"        # above the cap: sentinel
-
-
-def test_bench_rejects_unsorted_sizes(tmp_path):
-    code = main(["bench", "--sizes", "800,400", "--out",
-                 str(tmp_path / "s.csv")])
-    assert code == 1
 
 
 def test_collapse_demo_two_series(tmp_path, capsys):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from anchorgae.anchor_graph import (
+    AnchorGraph,
     ConnectivitySolveConfig,
-    dense_adjacency,
     fit_anchor_graph,
-    from_rows,
     init_anchors,
 )
 from anchorgae.clustering import (
@@ -18,6 +17,7 @@ from anchorgae.clustering import (
 from anchorgae.data_io import make_blobs
 from anchorgae.metrics import acc
 from anchorgae.numerics import make_rng
+from oracles import dense_adjacencies
 
 
 def principal_angles(a, b):
@@ -85,14 +85,14 @@ def test_spectral_separates_disjoint_groups():
     # densified adjacency must agree on the split
     idx = np.array([[0], [0], [0], [1], [1], [1]])
     w = np.ones((6, 1))
-    g = from_rows(idx, w, np.zeros((2, 1)), 2)
+    g = AnchorGraph(idx, w, np.zeros((2, 1)), 2)
     v, u, assignment = spectral_via_svd(g, 2)
     labels = assignment.labels
     assert labels[0] == labels[1] == labels[2]
     assert labels[3] == labels[4] == labels[5]
     assert labels[0] != labels[3]
 
-    a, _ = dense_adjacency(g)
+    _, a, _ = dense_adjacencies(g.indices, g.weights, g.m)
     vals, vecs = np.linalg.eigh(a)
     dense_space = vecs[:, -2:]
     angles = principal_angles(v, dense_space)
@@ -105,7 +105,7 @@ def test_spectral_top_singular_value_at_most_one():
         x = rng.normal(size=(40, 3))
         g = fit_anchor_graph(x, init_anchors(x, 6, rng),
                              ConnectivitySolveConfig(k=2))
-        b_hat = g.to_dense() / np.sqrt(g.delta)[None, :]
+        b_hat = g.csr().toarray() / np.sqrt(g.delta)[None, :]
         sigma = np.linalg.svd(b_hat, compute_uv=False)
         assert sigma[0] <= 1.0 + 1e-8
 
@@ -116,7 +116,7 @@ def test_spectral_subspace_matches_dense_eig_on_blobs():
     g = fit_anchor_graph(ds.x, init_anchors(ds.x, 9, rng),
                          ConnectivitySolveConfig(k=2))
     v, _, assignment = spectral_via_svd(g, 3)
-    a, _ = dense_adjacency(g)
+    _, a, _ = dense_adjacencies(g.indices, g.weights, g.m)
     _, vecs = np.linalg.eigh(a)
     angles = principal_angles(v, vecs[:, -3:])
     assert np.max(angles) < 1e-6
@@ -142,7 +142,7 @@ def test_spectral_rank_deficient_pads_and_warns():
     # every row identical => rank-1 bipartite graph
     idx = np.tile(np.array([[0, 1, 2]]), (8, 1))
     w = np.tile(np.array([[0.5, 0.25, 0.25]]), (8, 1))
-    g = from_rows(idx, w, np.zeros((3, 1)), 3)
+    g = AnchorGraph(idx, w, np.zeros((3, 1)), 3)
     with pytest.warns(RuntimeWarning, match="rank"):
         v, _, assignment = spectral_via_svd(g, 3)
     assert v.shape == (8, 3)
@@ -151,7 +151,7 @@ def test_spectral_rank_deficient_pads_and_warns():
 
 
 def test_spectral_validates_inputs():
-    g = from_rows(np.array([[0], [1]]), np.ones((2, 1)), np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0], [1]]), np.ones((2, 1)), np.zeros((2, 1)), 2)
     with pytest.raises(ValueError, match="1 <= c <= m"):
         spectral_via_svd(g, 3)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorgae.anchor_graph import from_rows
+from anchorgae.anchor_graph import AnchorGraph
 from anchorgae.convolution import (
     EncoderParams,
     apply_anchor_adjacency,
@@ -13,6 +13,7 @@ from anchorgae.convolution import (
 )
 from anchorgae.numerics import make_rng
 from oracles import (
+    dense_adjacencies,
     dense_gcn_forward,
     factored_anchor_adjacency,
     factored_anchor_adjacency_t,
@@ -20,8 +21,8 @@ from oracles import (
 
 
 def identity_graph(n, d_anchor=1):
-    return from_rows(np.arange(n)[:, None], np.ones((n, 1)),
-                     np.zeros((n, d_anchor)), n)
+    return AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)),
+                       np.zeros((n, d_anchor)), n)
 
 
 def random_graph(n, m, k, rng):
@@ -36,7 +37,7 @@ def random_graph(n, m, k, rng):
     idx = np.stack(fixed)
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
-    return from_rows(idx, w, np.zeros((m, 1)), m)
+    return AnchorGraph(idx, w, np.zeros((m, 1)), m)
 
 
 def test_init_params_shapes_and_bounds():
@@ -95,8 +96,7 @@ def test_factored_matches_dense_oracle_both_branches():
         x = rng.normal(size=(n, 5))
         c = rng.normal(size=(m, 5))
         params = init_params([5, 6, 3], rng)
-        from anchorgae.anchor_graph import dense_adjacency
-        a, a_t = dense_adjacency(g)
+        _, a, a_t = dense_adjacencies(g.indices, g.weights, g.m)
         z, _ = conv_forward_samples(g, x, params)
         z_t, _ = conv_forward_anchors(g, c, params)
         assert np.max(np.abs(z - dense_gcn_forward(a, x, params))) < 1e-8
@@ -113,7 +113,7 @@ def test_anchor_adjacency_matches_factored_oracle():
     idx[0] = [0, 1, 2]
     w = np.tile(np.array([[0.5, 0.3, 0.2]]), (20, 1))
     w[0] = [0.6, 0.4 - 1e-10, 1e-10]
-    graphs.append(from_rows(idx, w, np.zeros((4, 1)), 4))
+    graphs.append(AnchorGraph(idx, w, np.zeros((4, 1)), 4))
     for g in graphs:
         h = rng.normal(size=(g.m, 6))
         assert np.max(np.abs(apply_anchor_adjacency(g, h)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorgae.anchor_graph import from_rows
+from anchorgae.anchor_graph import AnchorGraph
 from anchorgae.clustering import kmeans
 from anchorgae.data_io import make_blobs, minmax_scale
 from anchorgae.metrics import acc
@@ -69,14 +69,14 @@ def test_step_rejects_k_below_k0():
 
 def test_pullback_identity_graph_returns_data():
     n = 5
-    g = from_rows(np.arange(n)[:, None], np.ones((n, 1)), np.zeros((n, 3)), n)
+    g = AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)), np.zeros((n, 3)), n)
     x = make_rng(100).normal(size=(n, 3))
     assert np.allclose(pullback_anchors(x, g), x)
 
 
 def test_pullback_uniform_pair_is_midpoint():
-    g = from_rows(np.array([[0], [0]]), np.array([[0.5], [0.5]]),
-                  np.zeros((1, 2)), 1)
+    g = AnchorGraph(np.array([[0], [0]]), np.array([[0.5], [0.5]]),
+                    np.zeros((1, 2)), 1)
     x = np.array([[0.0, 0.0], [4.0, 2.0]])
     assert np.allclose(pullback_anchors(x, g), [[2.0, 1.0]])
 
@@ -87,7 +87,7 @@ def test_pullback_matches_loop_oracle():
     idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
     w = rng.random((n, k))
     w /= w.sum(axis=1, keepdims=True)
-    g = from_rows(idx, w, np.zeros((m, d)), m)
+    g = AnchorGraph(idx, w, np.zeros((m, d)), m)
     x = rng.normal(size=(n, d))
     expected = np.zeros((m, d))
     for j in range(m):
@@ -113,7 +113,7 @@ def test_pullback_stays_in_convex_hull():
     idx = np.asarray(fixed)
     w = rng.random((30, 3)) + 0.01
     w /= w.sum(axis=1, keepdims=True)
-    g = from_rows(idx, w, np.zeros((6, 4)), 6)
+    g = AnchorGraph(idx, w, np.zeros((6, 4)), 6)
     x = rng.normal(size=(30, 4)) * 3
     pulled = pullback_anchors(x, g)
     for col in range(4):
@@ -126,7 +126,7 @@ def test_pullback_stays_in_convex_hull():
 def test_measure_collapse_uniform_rows_zero_gap():
     idx = np.stack([np.arange(3)] * 5)
     w = np.full((5, 3), 1.0 / 3.0)
-    g = from_rows(idx, w, np.zeros((3, 1)), 3)
+    g = AnchorGraph(idx, w, np.zeros((3, 1)), 3)
     entry = measure_collapse(g, on_support(g, np.full((5, 3), 1.0 / 3.0)))
     assert entry.uniformity_gap == 0.0
 
@@ -135,8 +135,8 @@ def test_measure_collapse_block_diagonal_components():
     # three disjoint sample/anchor blocks
     idx = np.array([[0], [0], [1], [1], [2], [2]])
     w = np.ones((6, 1))
-    g = from_rows(idx, w, np.zeros((3, 1)), 3)
-    q = g.to_dense()
+    g = AnchorGraph(idx, w, np.zeros((3, 1)), 3)
+    q = g.csr().toarray()
     entry = measure_collapse(g, on_support(g, q))
     edges = [(i, int(idx[i, 0])) for i in range(6)]
     assert entry.component_count == union_find_components(6, 3, edges) == 3
@@ -145,8 +145,8 @@ def test_measure_collapse_block_diagonal_components():
 def test_measure_collapse_reconstruction_gap_zero_when_exact():
     idx = np.array([[0, 1], [1, 2]])
     w = np.array([[0.6, 0.4], [0.3, 0.7]])
-    g = from_rows(idx, w, np.zeros((3, 1)), 3)
-    entry = measure_collapse(g, on_support(g, g.to_dense()))
+    g = AnchorGraph(idx, w, np.zeros((3, 1)), 3)
+    entry = measure_collapse(g, on_support(g, g.csr().toarray()))
     assert entry.reconstruction_gap == 0.0
     assert entry.k == 2
 
@@ -157,7 +157,7 @@ def test_measure_collapse_random_components_vs_oracle():
     idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
-    g = from_rows(idx, w, np.zeros((m, 1)), m)
+    g = AnchorGraph(idx, w, np.zeros((m, 1)), m)
     entry = measure_collapse(g, on_support(g, rng.random((n, m))))
     edges = [(i, int(j)) for i in range(n) for j in idx[i]]
     assert entry.component_count == union_find_components(n, m, edges)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anchorgae import training
-from anchorgae.anchor_graph import from_rows
+from anchorgae.anchor_graph import AnchorGraph
 from anchorgae.convolution import (
     EncoderParams,
     conv_forward_anchors,
@@ -48,7 +48,7 @@ def random_instance(rng, n=12, m=4, k=2, dims=(5, 4, 3)):
     idx = np.stack(fixed)
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
-    g = from_rows(idx, w, np.zeros((m, dims[0])), m)
+    g = AnchorGraph(idx, w, np.zeros((m, dims[0])), m)
     x = rng.normal(size=(n, dims[0]))
     c = rng.normal(size=(m, dims[0]))
     params = init_params(list(dims), rng)
@@ -97,16 +97,16 @@ def test_decode_dim_mismatch():
 # ------------------------------------------------------------------- loss
 
 def test_loss_uniform_pair_is_ln2():
-    g = from_rows(np.array([[0, 1]]), np.array([[0.5, 0.5]]),
-                  np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.5, 0.5]]),
+                    np.zeros((2, 1)), 2)
     q = np.array([[0.5, 0.5]])
     assert abs(loss(g, on_support(g, q)) - np.log(2.0)) < 1e-12
 
 
 def test_loss_one_hot_limit_tends_to_zero():
-    g = from_rows(np.array([[0, 1]]), np.array([[1.0, 0.0]]),
-                  np.zeros((2, 1)), 2)
-    q = np.array([[1.0 - 1e-12, 1e-12]])
+    g = AnchorGraph(np.array([[0, 1], [1, 0]]),
+                    np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros((2, 1)), 2)
+    q = np.array([[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]])
     value = loss(g, on_support(g, q))
     assert 0.0 < value < 1e-11
 
@@ -118,20 +118,20 @@ def test_loss_gibbs_inequality():
         idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
         w = rng.random((n, k))
         w /= w.sum(axis=1, keepdims=True)
-        g = from_rows(idx, w, np.zeros((m, 1)), m)
+        g = AnchorGraph(idx, w, np.zeros((m, 1)), m)
         q = rng.random((n, m)) + 1e-3
         q /= q.sum(axis=1, keepdims=True)
         h = sum(entropy(row) for row in w)
         assert loss(g, on_support(g, q)) >= h - 1e-12
         # equality iff the reconstruction matches p exactly
-        q_exact = g.to_dense()
+        q_exact = g.csr().toarray()
         q_exact[q_exact == 0] = 1e-300
         assert abs(loss(g, on_support(g, q_exact)) - h) < 1e-9
 
 
 def test_loss_underflow_clamps_and_warns():
-    g = from_rows(np.array([[0, 1]]), np.array([[0.7, 0.3]]),
-                  np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.7, 0.3]]),
+                    np.zeros((2, 1)), 2)
     q = np.array([[0.0, 1.0]])
     with pytest.warns(RuntimeWarning, match="clamp"):
         value = loss(g, on_support(g, q))
@@ -139,8 +139,8 @@ def test_loss_underflow_clamps_and_warns():
 
 
 def test_loss_shape_check():
-    g = from_rows(np.array([[0, 1]]), np.array([[0.5, 0.5]]),
-                  np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.5, 0.5]]),
+                    np.zeros((2, 1)), 2)
     with pytest.raises(ValueError, match="expected"):
         loss(g, np.ones((2, 2)))
 
@@ -152,7 +152,7 @@ def test_backward_zero_at_exact_reconstruction(monkeypatch):
     g, x, c, params = random_instance(rng)
     _, cache_s = conv_forward_samples(g, x, params)
     _, cache_a = conv_forward_anchors(g, c, params)
-    q = g.to_dense()  # q identical to p => residual vanishes
+    q = g.csr().toarray()  # q identical to p => residual vanishes
     blocks = row_blocks(g.n, g.m)
     monkeypatch.setattr(training, "decode",
                         lambda z, z_t: q[next(blocks)].copy())
@@ -229,8 +229,8 @@ def test_backward_rejects_stale_cache():
 # ------------------------------------------------------- blocked decoder
 
 def single_row_instance(rng, dims=(5, 4, 3)):
-    g = from_rows(np.array([[1, 0]]), np.array([[0.3, 0.7]]),
-                  np.zeros((2, dims[0])), 2)
+    g = AnchorGraph(np.array([[1, 0]]), np.array([[0.3, 0.7]]),
+                    np.zeros((2, dims[0])), 2)
     return (g, rng.normal(size=(1, dims[0])), rng.normal(size=(2, dims[0])),
             init_params(list(dims), rng))
 
@@ -284,13 +284,16 @@ def test_decode_in_place_softmax_same_bits_as_oracle():
 
 
 def test_underflow_warns_once_per_call_across_blocks(monkeypatch):
-    # Every row sits on anchor 0; its support anchors 1 and 2 lie so far
-    # away that q underflows to exactly 0 there, in each 1-row block.
+    # Every row but the last sits on anchor 0, the last on anchor 2; each
+    # row's support holds the other two anchors, so far away that q
+    # underflows to exactly 0 there, in each 1-row block.
     monkeypatch.setattr(training, "BLOCK_ENTRIES", 1)
     n = 5
-    g = from_rows(np.tile([1, 2], (n, 1)), np.full((n, 2), 0.5),
-                  np.zeros((3, 1)), 3)
+    idx = np.tile([1, 2], (n, 1))
+    idx[-1] = [0, 1]
+    g = AnchorGraph(idx, np.full((n, 2), 0.5), np.zeros((3, 1)), 3)
     z = np.zeros((n, 1))
+    z[-1] = 200.0
     z_t = np.array([[0.0], [100.0], [200.0]])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -320,7 +323,7 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
     idx[:m, 0] = np.arange(m)
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
-    g = from_rows(idx, w, np.zeros((m, 4)), m)
+    g = AnchorGraph(idx, w, np.zeros((m, 4)), m)
     x = rng.normal(size=(n, 4))
     c = rng.normal(size=(m, 4))
     params = init_params([4, 3, 2], rng)
@@ -417,19 +420,9 @@ def test_train_aborts_on_divergence_naming_epoch():
                                                optimizer="gd"))
 
 
-def test_train_grad_clip_keeps_updates_bounded():
-    rng = make_rng(64)
-    g, x, c, params = random_instance(rng)
-    before = [w.copy() for w in params.layers]
-    train(g, x, c, params, TrainConfig(inner_epochs=1, learning_rate=1.0,
-                                       optimizer="gd", grad_clip=1e-3))
-    moved = np.sqrt(sum(float(((w - o) ** 2).sum())
-                        for w, o in zip(params.layers, before)))
-    assert moved <= 1e-3 + 1e-12
-
-
 def reaggregating_train(g, x, c, params, cfg):
     """The adam loop of train, aggregating x and c afresh every epoch."""
+    beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
     trace = []
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
@@ -440,11 +433,11 @@ def reaggregating_train(g, x, c, params, cfg):
         trace.append(loss(g, q_sup))
         t = epoch + 1
         for w, grad, m1, v1 in zip(params.layers, grads, adam_m, adam_v):
-            m1[...] = cfg.beta1 * m1 + (1.0 - cfg.beta1) * grad
-            v1[...] = cfg.beta2 * v1 + (1.0 - cfg.beta2) * grad * grad
-            m_hat = m1 / (1.0 - cfg.beta1 ** t)
-            v_hat = v1 / (1.0 - cfg.beta2 ** t)
-            w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m1[...] = beta1 * m1 + (1.0 - beta1) * grad
+            v1[...] = beta2 * v1 + (1.0 - beta2) * grad * grad
+            m_hat = m1 / (1.0 - beta1 ** t)
+            v_hat = v1 / (1.0 - beta2 ** t)
+            w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
     return np.array(trace)
 
 
@@ -466,7 +459,8 @@ def test_train_hoisted_aggregates_match_reaggregating_loop():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(inner_epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="sgd")
