@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .numerics import as_matrix, pairwise_sq_dist
+from .numerics import as_matrix, pairwise_sq_dist, row_blocks
 
 # Column sums below this are treated as a dead anchor.
 DEAD_ANCHOR_TOL = 1e-12
@@ -128,13 +128,18 @@ def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
     """Closed-form k-sparse rows for a whole distance matrix (n x m).
 
     Returns (indices (n,k), weights (n,k), gamma (n,)). Only the k+1
-    nearest anchors of a row enter its solution, so a partial selection
-    (argpartition) picks them and only those k+1 are sorted, by distance
-    and then by ascending anchor index: ties go to the lowest index. When
-    anchors outside the pick tie with the (k+1)-th distance (more than k+1
-    distances at or below it), the pick may hold the wrong tied anchors;
-    those rows alone are re-solved with a full stable sort. The result is
-    exactly that of a stable sort of every row. dists must hold no NaN.
+    nearest anchors of a row enter its solution. Tie rule: they are the
+    first k+1 anchors of the row ordered by distance and then by anchor
+    index, so a tie goes to the lowest index, and they are returned in that
+    order (the k-th is the last support entry, the (k+1)-th the boundary).
+
+    No row is fully sorted. Over row blocks (numerics.row_blocks), a
+    partial selection (np.partition) gives each row's (k+1)-th smallest
+    distance t and the anchors at or below t are marked. A row with more
+    than k+1 marks has a tie at t: it keeps every anchor below t and fills
+    the places left with the lowest-index anchors at t. The k+1 marked ids
+    come out ascending, so a stable sort of their distances applies the tie
+    rule. dists must hold no NaN.
 
     A zero denominator (the k+1 nearest all at equal distance) falls back
     to the uniform 1/k row, which is the limit of the formula under a
@@ -144,20 +149,25 @@ def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
     n, m = dists.shape
     if not (1 <= k < m):
         raise ValueError(f"need 1 <= k < m={m}, got k={k}")
-    # Sorting the picked ids first lets the stable sort by distance break
-    # ties by anchor index.
-    nearest = np.sort(np.argpartition(dists, k, axis=1)[:, :k + 1], axis=1)
-    by_dist = np.argsort(np.take_along_axis(dists, nearest, axis=1), axis=1,
-                         kind="stable")
-    nearest = np.take_along_axis(nearest, by_dist, axis=1)
+    nearest = np.empty((n, k + 1), dtype=np.intp)
+    for rows in row_blocks(n, m):
+        block = dists[rows]
+        bound = np.partition(block, k, axis=1)[:, k:k + 1]
+        marked = block <= bound
+        if np.count_nonzero(marked) > marked.shape[0] * (k + 1):
+            tied = np.flatnonzero(np.count_nonzero(marked, axis=1) > k + 1)
+            sub, sub_bound = block[tied], bound[tied]
+            inside = sub < sub_bound
+            at = sub == sub_bound
+            free = k + 1 - np.count_nonzero(inside, axis=1)
+            marked[tied] = inside | (at & (np.cumsum(at, axis=1)
+                                           <= free[:, None]))
+        # Flat ids, row-major: each row's k+1 ids come out ascending.
+        nearest[rows] = np.flatnonzero(marked).reshape(-1, k + 1) % m
     d_near = np.take_along_axis(dists, nearest, axis=1)
-    straddle = np.flatnonzero(
-        np.count_nonzero(dists <= d_near[:, k:], axis=1) != k + 1)
-    # Ties change which anchors were picked, never the k+1 smallest values,
-    # so d_near holds for the re-solved rows too.
-    if straddle.size:
-        nearest[straddle] = np.argsort(dists[straddle], axis=1,
-                                       kind="stable")[:, :k + 1]
+    by_dist = np.argsort(d_near, axis=1, kind="stable")
+    nearest = np.take_along_axis(nearest, by_dist, axis=1)
+    d_near = np.take_along_axis(d_near, by_dist, axis=1)
     support = nearest[:, :k]
     num = d_near[:, k:] - d_near[:, :k]
     den = num.sum(axis=1, keepdims=True)
@@ -168,19 +178,6 @@ def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
         safe_den = np.where(degenerate, 1.0, den)
         weights = np.where(degenerate, 1.0 / k, num / safe_den)
     return support, weights, 0.5 * den[:, 0]
-
-
-def solve_connectivity_row(dists: np.ndarray, k: int) -> np.ndarray:
-    """Connectivity distribution of one sample as a dense length-m row."""
-    dists = np.asarray(dists, dtype=np.float64)
-    if dists.ndim != 1:
-        raise ValueError(f"dists must be a vector, got shape {dists.shape}")
-    if not np.all(np.isfinite(dists)) or np.any(dists < 0):
-        raise ValueError("dists must be finite and nonnegative")
-    support, weights, _ = _solve_rows(dists[None, :], k)
-    row = np.zeros(dists.shape[0])
-    row[support[0]] = weights[0]
-    return row
 
 
 def update_anchors(x_mapped: np.ndarray, g: AnchorGraph) -> np.ndarray:
@@ -228,6 +225,14 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
     uniform_rows the rows are flat 1/k over the k nearest anchors (the
     unweighted-graph ablation) and the tracked objective is the plain
     assignment cost, which is monotone end to end.
+
+    Stop rule: the loop ends after the iteration whose objective differs
+    from the previous iteration's by less than cfg.tol (default 1e-6)
+    relative to the previous value, or after cfg.max_iters (default 30)
+    iterations, whichever comes first. The alternating scheme carries no
+    convergence guarantee for the moving per-row regularizer weight, and in
+    practice the tolerance rarely fires: every graph fit of the perfbench
+    workloads runs to the cap.
 
     If history is a list, one dict per iteration is appended with keys
     anchors_in, indices, weights, objective.
@@ -281,6 +286,8 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
             })
 
         anchors = update_anchors(x, g)
+        # Freed first, so a fit holds at most two n x m arrays at once.
+        del dists
         dists = pairwise_sq_dist(x, anchors)
 
         if prev_obj is not None:

@@ -146,9 +146,6 @@ def _load_dataset(args):
 def _pipeline_config(args):
     from .pipeline import AnchorGaeConfig
 
-    if not 2 <= args.clusters <= args.anchors:
-        raise ConfigError(f"--clusters must be between 2 and --anchors="
-                          f"{args.anchors}, got {args.clusters}")
     try:
         return AnchorGaeConfig(
             clusters=args.clusters,

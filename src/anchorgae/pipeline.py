@@ -10,7 +10,7 @@ observable, and the ablation modes reproduce it on demand.
 
 The per-round snapshot needs the reconstruction only on the graph support:
 training.decode_on_support decodes the embeddings over the training
-decoder's row blocks (sized by the module constant training.BLOCK_ENTRIES)
+decoder's row blocks (sized by the constant numerics.BLOCK_ENTRIES)
 and keeps those n x k entries, so no n x m array is held here either.
 """
 
@@ -145,8 +145,9 @@ class AnchorGaeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.clusters < 1:
-            raise ValueError(f"clusters must be >= 1, got {self.clusters}")
+        if not 2 <= self.clusters <= self.anchors:
+            raise ValueError(f"clusters must be between 2 and anchors="
+                             f"{self.anchors}, got {self.clusters}")
         if self.anchors <= self.k0:
             raise ValueError(
                 f"anchors={self.anchors} must exceed k0={self.k0}")

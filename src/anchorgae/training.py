@@ -9,10 +9,10 @@ Gradients are hand-derived: the softmax/cross-entropy pair collapses to
 accumulate into the shared weights.
 
 No n x m array is ever held. The decoder runs over blocks of rows
-(row_blocks; the block size is the module constant BLOCK_ENTRIES, in
-entries): each block's softmax is turned into its residual in place and
-added to the embedding gradients, and only its entries on the graph
-support (n x k) are kept, for the loss.
+(numerics.row_blocks; the block size is the constant
+numerics.BLOCK_ENTRIES, in entries): each block's softmax is turned into
+its residual in place and added to the embedding gradients, and only its
+entries on the graph support (n x k) are kept, for the loss.
 """
 
 import warnings
@@ -30,14 +30,9 @@ from .convolution import (
     conv_forward_anchors,
     conv_forward_samples,
 )
-from .numerics import pairwise_sq_dist
+from .numerics import pairwise_sq_dist, row_blocks
 
 Q_FLOOR = 1e-300
-
-# Decoder entries per row block (a row is never split): 2**16 float64 is
-# 512 KiB per block array. At n=3000-20000, m=200-256, d=64 on two cores,
-# 2**15 to 2**18 time alike and 2**12 is up to 1.6x slower.
-BLOCK_ENTRIES = 2 ** 16
 
 # Adam moment decay rates and denominator offset.
 ADAM_BETA1 = 0.9
@@ -65,14 +60,6 @@ class TrainConfig:
                              f"{self.learning_rate}")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"optimizer must be 'gd' or 'adam', got {self.optimizer!r}")
-
-
-def row_blocks(n: int, m: int):
-    """Consecutive row slices covering range(n), each of at most
-    max(1, BLOCK_ENTRIES // m) rows: the blocks the decoder runs over."""
-    step = max(1, BLOCK_ENTRIES // m)
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
 
 
 def decode(z: np.ndarray, z_t: np.ndarray) -> np.ndarray:

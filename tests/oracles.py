@@ -1,15 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loops, dense matrices, brute force)
-and shares no code with the production paths it checks; random_bench_graph
-only builds inputs.
+and shares no code with the production paths it checks, with two
+exceptions: random_bench_graph only builds inputs, and
+solve_connectivity_row is the production row solve seen one dense row at a
+time, for the tests that state the closed form row by row.
 """
 
 import itertools
 
 import numpy as np
 
-from anchorgae.anchor_graph import AnchorGraph
+from anchorgae.anchor_graph import AnchorGraph, _solve_rows
 
 
 def matmul_loops(a, b):
@@ -108,6 +110,20 @@ def sorted_rows(dists, k):
     weights = np.where(degenerate, 1.0 / k,
                        num / np.where(degenerate, 1.0, den))
     return support, weights, 0.5 * den[:, 0]
+
+
+def solve_connectivity_row(dists, k):
+    """Connectivity distribution of one sample as a dense length-m row,
+    from the production solve."""
+    dists = np.asarray(dists, dtype=np.float64)
+    if dists.ndim != 1:
+        raise ValueError(f"dists must be a vector, got shape {dists.shape}")
+    if not np.all(np.isfinite(dists)) or np.any(dists < 0):
+        raise ValueError("dists must be finite and nonnegative")
+    support, weights, _ = _solve_rows(dists[None, :], k)
+    row = np.zeros(dists.shape[0])
+    row[support[0]] = weights[0]
+    return row
 
 
 def dense_adjacencies(indices, weights, m):

@@ -16,7 +16,6 @@ from anchorgae.anchor_graph import (
     ConnectivitySolveConfig,
     fit_anchor_graph,
     init_anchors,
-    solve_connectivity_row,
 )
 from anchorgae.clustering import kmeans, spectral_via_svd
 from anchorgae.convolution import conv_forward_anchors, conv_forward_samples, init_params
@@ -33,6 +32,7 @@ from oracles import (
     on_support,
     projected_gradient_row,
     random_bench_graph,
+    solve_connectivity_row,
 )
 
 pytestmark = pytest.mark.slow

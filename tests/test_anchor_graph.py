@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from anchorgae import anchor_graph, numerics
 from anchorgae.anchor_graph import (
     AnchorGraph,
     ConnectivitySolveConfig,
     _solve_rows,
     fit_anchor_graph,
     init_anchors,
-    solve_connectivity_row,
     update_anchors,
 )
 from anchorgae.convolution import apply_sample_adjacency
@@ -20,6 +20,7 @@ from oracles import (
     normalize_anchor_side,
     projected_gradient_row,
     row_objective,
+    solve_connectivity_row,
     sorted_rows,
 )
 
@@ -120,7 +121,16 @@ def test_row_ties_broken_by_index():
     assert row[0] == row[3] == row[4] == 0.0
 
 
-def test_rows_match_full_stable_sort_on_ties():
+def test_rows_match_full_stable_sort_on_ties(monkeypatch):
+    def check(dists, k, uniform=False):
+        support, weights, gamma = _solve_rows(dists, k, uniform=uniform)
+        ref_support, ref_weights, ref_gamma = sorted_rows(dists, k)
+        if uniform:
+            ref_weights = np.full_like(ref_weights, 1.0 / k)
+        for a, b in ((support, ref_support), (weights, ref_weights),
+                     (gamma, ref_gamma)):
+            assert np.array_equal(a, b), (dists.shape, k, uniform)
+
     rng = make_rng(25)
     shapes = [(1, 2), (1, 7), (6, 2)] + [
         (int(rng.integers(1, 40)), int(rng.integers(2, 16)))
@@ -128,10 +138,22 @@ def test_rows_match_full_stable_sort_on_ties():
     for n, m in shapes:
         dists = rng.integers(0, 4, size=(n, m)).astype(float)
         for k in {1, m - 1, int(rng.integers(1, m))}:
-            ours = _solve_rows(dists, k)
-            ref = sorted_rows(dists, k)
-            for a, b in zip(ours, ref):
-                assert np.array_equal(a, b), (n, m, k)
+            check(dists, k)
+            check(dists, k, uniform=True)
+    # Every entry of a row tied, next to rows with no tie at all.
+    for m in (2, 5, 12):
+        dists = np.vstack([np.full((3, m), 2.5), rng.random((3, m)),
+                           np.zeros((2, m))])
+        for k in range(1, m):
+            check(dists, k)
+            check(dists, k, uniform=True)
+    # Rows spread over several blocks, the last one partial.
+    for rows_per_block in (1, 7, 23):
+        for n, m in ((60, 9), (47, 3), (100, 16)):
+            monkeypatch.setattr(numerics, "BLOCK_ENTRIES", rows_per_block * m)
+            dists = rng.integers(0, 4, size=(n, m)).astype(float)
+            for k in {1, m - 1, int(rng.integers(1, m))}:
+                check(dists, k)
 
 
 def test_rows_tie_straddling_the_boundary():
@@ -318,6 +340,37 @@ def test_fit_reseeds_dead_anchor():
     g = fit_anchor_graph(x, far, ConnectivitySolveConfig(k=1))
     assert (g.delta > 0).all()
     assert np.max(np.abs(g.anchors)) < 100.0  # pulled back into the data
+
+
+def test_reseeding_fits_match_full_stable_sort(monkeypatch):
+    # Anchors far outside the data: every fit re-seeds some of them.
+    reseeds = []
+    reseed = anchor_graph._reseed_dead_anchors
+
+    def counting_reseed(*args):
+        reseeds.append(1)
+        reseed(*args)
+
+    monkeypatch.setattr(anchor_graph, "_reseed_dead_anchors", counting_reseed)
+
+    def fit(seed, k):
+        rng = make_rng(seed)
+        x = rng.normal(size=(80, 2))
+        far = rng.normal(size=(10, 2)) + 40.0
+        return fit_anchor_graph(x, far, ConnectivitySolveConfig(k=k))
+
+    for seed in range(6):
+        for k in (1, 2, 4):
+            del reseeds[:]
+            ours = fit(seed, k)
+            assert reseeds, (seed, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(anchor_graph, "_solve_rows",
+                              lambda d, k, uniform=False: sorted_rows(d, k))
+                ref = fit(seed, k)
+            assert np.array_equal(ours.indices, ref.indices), (seed, k)
+            assert np.array_equal(ours.weights, ref.weights), (seed, k)
+            assert np.array_equal(ours.anchors, ref.anchors), (seed, k)
 
 
 # ----------------------------------------------- normalization / adjacency

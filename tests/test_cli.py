@@ -153,7 +153,7 @@ def test_fit_more_clusters_than_anchors_exit_1_before_run(tmp_path, capsys,
     args = fit_args(tmp_path, clusters=30, anchors=25)
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert "--clusters" in err and "--anchors=25" in err and "30" in err
+    assert "clusters" in err and "anchors=25" in err and "30" in err
 
 
 def test_report_loader_rejects_unknown_fields(tmp_path):

@@ -324,3 +324,7 @@ def test_config_validation():
         AnchorGaeConfig(clusters=2, outer_epochs=-1)
     with pytest.raises(ValueError, match="hidden_dims"):
         AnchorGaeConfig(clusters=2, hidden_dims=())
+    with pytest.raises(ValueError, match="between 2 and anchors=25, got 30"):
+        AnchorGaeConfig(clusters=30, anchors=25)
+    with pytest.raises(ValueError, match="between 2 and anchors=100, got 1"):
+        AnchorGaeConfig(clusters=1)

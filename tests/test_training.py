@@ -4,15 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from anchorgae import training
-from anchorgae.anchor_graph import AnchorGraph
+from anchorgae import numerics, training
+from anchorgae.anchor_graph import (
+    AnchorGraph,
+    ConnectivitySolveConfig,
+    fit_anchor_graph,
+    init_anchors,
+)
 from anchorgae.convolution import (
     EncoderParams,
     conv_forward_anchors,
     conv_forward_samples,
     init_params,
 )
-from anchorgae.numerics import make_rng
+from anchorgae.numerics import make_rng, row_blocks
 from anchorgae.training import (
     TrainConfig,
     TrainingDiverged,
@@ -23,7 +28,6 @@ from anchorgae.training import (
     _branch_grads,
     _decoder_grads,
     decode_on_support,
-    row_blocks,
 )
 from oracles import (
     entropy,
@@ -252,7 +256,7 @@ def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
         g, x, c, params = single_row_instance(rng)
     else:
         g, x, c, params = random_instance(rng, n=n, m=6, k=3)
-    monkeypatch.setattr(training, "BLOCK_ENTRIES", rows_per_block * g.m)
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", rows_per_block * g.m)
     blocks = list(row_blocks(g.n, g.m))
     assert len(blocks) == -(-g.n // rows_per_block)
     assert np.array_equal(np.concatenate([np.arange(g.n)[b] for b in blocks]),
@@ -287,7 +291,7 @@ def test_underflow_warns_once_per_call_across_blocks(monkeypatch):
     # Every row but the last sits on anchor 0, the last on anchor 2; each
     # row's support holds the other two anchors, so far away that q
     # underflows to exactly 0 there, in each 1-row block.
-    monkeypatch.setattr(training, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 1)
     n = 5
     idx = np.tile([1, 2], (n, 1))
     idx[-1] = [0, 1]
@@ -308,12 +312,22 @@ def test_underflow_warns_once_per_call_across_blocks(monkeypatch):
 
 
 def test_train_nan_embeddings_raise_diverged(monkeypatch):
-    monkeypatch.setattr(training, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 1)
     rng = make_rng(68)
     g, x, c, params = random_instance(rng)
     params.layers[0][0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="epoch 0"):
         train(g, x, c, params, TrainConfig(inner_epochs=3))
+
+
+def peak_bytes(fn):
+    """Peak bytes allocated while fn runs, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_blocked_pass_holds_no_sample_by_anchor_array():
@@ -331,14 +345,6 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
     z_t, cache_a = conv_forward_anchors(g, c, params)
     n_by_m_bytes = n * m * 8
 
-    def peak_bytes(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     assert peak_bytes(lambda: backward(g, cache_s, cache_a, params)) \
         < n_by_m_bytes
     assert peak_bytes(lambda: decode_on_support(g, z, z_t)) < n_by_m_bytes
@@ -347,8 +353,21 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
         < n_by_m_bytes
 
 
+def test_graph_fit_holds_two_sample_by_anchor_arrays():
+    # At most two n x m arrays live at once, the distance call's product
+    # and result: the previous distances are freed before the call, and
+    # the row solve's temporaries are one row block each.
+    n, m = 6000, 300
+    rng = make_rng(70)
+    x = rng.normal(size=(n, 8))
+    anchors = init_anchors(x, m, rng)
+    cfg = ConnectivitySolveConfig(k=5, max_iters=3)
+    assert peak_bytes(lambda: fit_anchor_graph(x, anchors, cfg)) \
+        < 2.5 * n * m * 8
+
+
 def test_train_calls_loss_once_per_epoch(monkeypatch):
-    monkeypatch.setattr(training, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 1)
     calls = []
     real_loss = training.loss
 
