@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .anchor_graph import (
+    FIT_MAX_ITERS,
     AnchorGraph,
     ConnectivitySolveConfig,
     fit_anchor_graph,
@@ -140,7 +141,7 @@ class AnchorGaeConfig:
     mode: str = "full"
     n_s: int | None = None
     seed: int = 0
-    fit_max_iters: int = 30
+    fit_max_iters: int = FIT_MAX_ITERS
 
     def __post_init__(self):
         if self.mode not in MODES:

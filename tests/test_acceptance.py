@@ -204,24 +204,26 @@ def test_c05_linear_scaling_witness():
     start = time.perf_counter()
     rng = make_rng(1005)
     params = init_params([64, 128, 64], rng)
-    medians = {}
+    # Other processes only ever add time, so the fastest of several
+    # repetitions is the estimate least disturbed by load.
+    fastest = {}
     for n in (10_000, 20_000, 40_000):
         g = random_bench_graph(n, 200, 4, rng)
         x = rng.normal(size=(n, 64))
         conv_forward_samples(g, x, params, keep_cache=False)  # warm-up
         reps = []
-        for _ in range(5):
+        for _ in range(7):
             t0 = time.perf_counter()
             conv_forward_samples(g, x, params, keep_cache=False)
             reps.append(time.perf_counter() - t0)
-        medians[n] = float(np.median(reps))
-    r1 = medians[20_000] / medians[10_000]
-    r2 = medians[40_000] / medians[20_000]
+        fastest[n] = min(reps)
+    r1 = fastest[20_000] / fastest[10_000]
+    r2 = fastest[40_000] / fastest[20_000]
     elapsed = time.perf_counter() - start
     ok = r1 <= 2.6 and r2 <= 2.6 and elapsed < 120.0
     report(ok, "criterion 5 linear scaling",
-           f"median forward times {medians[10_000]*1e3:.1f}/"
-           f"{medians[20_000]*1e3:.1f}/{medians[40_000]*1e3:.1f} ms, "
+           f"fastest of 7 forward times {fastest[10_000]*1e3:.1f}/"
+           f"{fastest[20_000]*1e3:.1f}/{fastest[40_000]*1e3:.1f} ms, "
            f"doubling ratios {r1:.2f} and {r2:.2f} (<= 2.6) in {elapsed:.1f}s")
     assert r1 <= 2.6 and r2 <= 2.6
     assert elapsed < 120.0

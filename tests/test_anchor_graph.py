@@ -5,6 +5,7 @@ import pytest
 
 from anchorgae import anchor_graph, numerics
 from anchorgae.anchor_graph import (
+    FIT_MAX_ITERS,
     AnchorGraph,
     ConnectivitySolveConfig,
     _solve_rows,
@@ -308,6 +309,46 @@ def test_fit_objective_recomputed_by_oracle():
             p[entry["indices"][i]] = entry["weights"][i]
             val += row_objective(p, d[i], gamma_from_sparsity(d[i], 2), 6)
         assert abs(val - entry["objective"]) < 1e-9 * max(abs(val), 1.0)
+
+
+def relative_changes(hist) -> np.ndarray:
+    """|obj_t - obj_{t-1}| / |obj_{t-1}| for each recorded iteration t >= 1."""
+    objs = np.array([entry["objective"] for entry in hist])
+    return np.abs(np.diff(objs)) / np.abs(objs[:-1])
+
+
+def test_fit_runs_to_the_cap_when_tolerance_never_fires():
+    rng = make_rng(40)
+    x = rng.normal(size=(300, 4))
+    cfg = ConnectivitySolveConfig(k=3)
+    hist = []
+    g = fit_anchor_graph(x, init_anchors(x, 20, rng), cfg, history=hist)
+    assert cfg.max_iters == FIT_MAX_ITERS
+    assert len(hist) == cfg.max_iters
+    assert np.all(relative_changes(hist) >= cfg.tol)  # no early stop was due
+    assert np.array_equal(g.indices, hist[-1]["indices"])
+
+
+def test_fit_stops_at_first_change_below_tolerance():
+    rng = make_rng(40)
+    x = rng.normal(size=(300, 4))
+    anchors0 = init_anchors(x, 20, rng)
+    full = []
+    fit_anchor_graph(x, anchors0, ConnectivitySolveConfig(k=3, max_iters=30,
+                                                          tol=1e-300),
+                     history=full)
+    tol = 1e-3
+    # Change j compares iterations j and j + 1 (0-based), so the first
+    # change below tol ends the loop after iteration j + 1.
+    expected = int(np.flatnonzero(relative_changes(full) < tol)[0]) + 2
+    assert 2 < expected < 30
+    hist = []
+    fit_anchor_graph(x, anchors0, ConnectivitySolveConfig(k=3, max_iters=30,
+                                                          tol=tol),
+                     history=hist)
+    assert len(hist) == expected
+    assert [h["objective"] for h in hist] == \
+        [h["objective"] for h in full[:expected]]
 
 
 def test_fit_uniform_rows_objective_monotone():

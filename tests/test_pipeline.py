@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from anchorgae.anchor_graph import AnchorGraph
+from anchorgae import pipeline
+from anchorgae.anchor_graph import (
+    FIT_MAX_ITERS,
+    AnchorGraph,
+    ConnectivitySolveConfig,
+)
 from anchorgae.clustering import kmeans
 from anchorgae.data_io import make_blobs, minmax_scale
 from anchorgae.metrics import acc
@@ -248,6 +253,22 @@ def test_run_records_optional_series():
     assert len(result.iteration_graphs) == len(result.diagnostics)
 
 
+def test_run_caps_every_graph_fit_at_the_default(monkeypatch):
+    lengths = []
+
+    def counted(*args, _orig=pipeline.fit_anchor_graph, **kwargs):
+        hist = []
+        g = _orig(*args, history=hist, **kwargs)
+        lengths.append(len(hist))
+        return g
+
+    monkeypatch.setattr(pipeline, "fit_anchor_graph", counted)
+    x, _ = scaled_blobs()
+    run_anchorgae(x, quick_config())
+    assert len(lengths) == 3  # the initial fit and two refits
+    assert max(lengths) == FIT_MAX_ITERS == 15
+
+
 def count_layer0_aggregations(monkeypatch, d_in):
     """Count sample- and anchor-side aggregations of d_in-wide inputs (layer
     0 only, when no hidden width equals d_in), split by whether they run
@@ -313,6 +334,11 @@ def test_fixed_k_uniformity_trend_once_well_trained():
                 ok = False
         passing += ok
     assert passing >= 8
+
+
+def test_fit_cap_has_one_default():
+    assert AnchorGaeConfig(clusters=2).fit_max_iters == \
+        ConnectivitySolveConfig(k=1).max_iters
 
 
 def test_config_validation():
