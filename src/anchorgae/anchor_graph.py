@@ -99,6 +99,11 @@ class AnchorGraph:
         """B^T @ x for x of shape (n, d); O(n k d)."""
         return self.csr().T @ x
 
+    def pool(self, h: np.ndarray) -> np.ndarray:
+        """diag(1/delta) B^T @ h for h of shape (n, d): row j is the
+        B-weighted mean of the rows of h over anchor j's samples; O(n k d)."""
+        return self.bt_dot(h) / self.delta[:, None]
+
 
 @dataclass
 class ConnectivitySolveConfig:
@@ -187,7 +192,7 @@ def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
 def update_anchors(x_mapped: np.ndarray, g: AnchorGraph) -> np.ndarray:
     """Each anchor moves to the B-weighted mean of the samples: row j of the
     result is sum_i b_ij x_i / delta_j."""
-    return g.bt_dot(x_mapped) / g.delta[:, None]
+    return g.pool(x_mapped)
 
 
 def _objective(d_sup, weights, gamma, m: int) -> float:

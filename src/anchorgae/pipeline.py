@@ -29,7 +29,6 @@ from .anchor_graph import (
 )
 from .convolution import (
     apply_anchor_adjacency,
-    apply_sample_adjacency,
     conv_forward_anchors,
     conv_forward_samples,
     init_params,
@@ -123,7 +122,7 @@ def pullback_anchors(x: np.ndarray, g: AnchorGraph) -> np.ndarray:
     """Estimate anchors in the original feature space as the degree-
     normalized B-weighted mean of the raw samples, so each anchor stays in
     the convex hull of the data."""
-    return g.bt_dot(np.asarray(x, dtype=np.float64)) / g.delta[:, None]
+    return g.pool(np.asarray(x, dtype=np.float64))
 
 
 @dataclass
@@ -188,9 +187,13 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     the k nearest anchors. outer_epochs=0 degenerates to the initial graph
     plus a single training round.
 
-    The first-layer aggregations of x and of the anchor inputs depend only
-    on the graph, so they are computed once per graph fit and shared by that
-    round's training epochs and embeddings.
+    The first-layer inputs of both branches depend only on the graph, so
+    they are formed once per graph fit and shared by that round's training
+    epochs and embeddings. The sample side's is x pooled onto the anchors,
+    g.pool(x), and that is bit for bit the anchor input c_input: the fit's
+    last anchor update and the pullback both compute g.pool(x) on the final
+    rows. So it costs nothing; only the anchor side's aggregation is
+    computed.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -217,14 +220,11 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     loss_traces: list[np.ndarray] = []
     iteration_graphs: list[AnchorGraph] = []
 
-    def aggregate(graph: AnchorGraph, c: np.ndarray):
-        return apply_sample_adjacency(graph, x), apply_anchor_adjacency(graph, c)
-
-    def embed(graph: AnchorGraph, c: np.ndarray, aggregated):
+    def embed(graph: AnchorGraph, c: np.ndarray, ac: np.ndarray):
         z, _ = conv_forward_samples(graph, x, params, keep_cache=False,
-                                    aggregated_x=aggregated[0])
+                                    pooled_x=c)
         z_t, _ = conv_forward_anchors(graph, c, params, keep_cache=False,
-                                      aggregated_c=aggregated[1])
+                                      aggregated_c=ac)
         return z, z_t
 
     def snapshot(iteration: int, graph: AnchorGraph, z, z_t) -> None:
@@ -234,13 +234,13 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
         if record_graphs:
             iteration_graphs.append(graph)
 
-    aggregated = aggregate(g, c_input)
+    ac = apply_anchor_adjacency(g, c_input)
     for t in range(config.outer_epochs):
         _, trace = _stage(f"outer iteration {t}, training",
                           lambda: train(g, x, c_input, params, train_cfg,
-                                        aggregated))
+                                        (c_input, ac)))
         loss_traces.append(trace)
-        z, z_t = embed(g, c_input, aggregated)
+        z, z_t = embed(g, c_input, ac)
         snapshot(t, g, z, z_t)
 
         if config.mode != "fixed_b":
@@ -250,16 +250,17 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                            ConnectivitySolveConfig(k, config.fit_max_iters),
                            uniform_rows=uniform_rows))
             c_input = pullback_anchors(x, g)
-            aggregated = aggregate(g, c_input)
+            ac = apply_anchor_adjacency(g, c_input)
         if config.mode != "fixed_k":
             k = step_sparsity(schedule, k)
 
     if config.outer_epochs == 0:
         _, trace = _stage("training", lambda: train(g, x, c_input, params,
-                                                    train_cfg, aggregated))
+                                                    train_cfg,
+                                                    (c_input, ac)))
         loss_traces.append(trace)
 
-    z, z_t = embed(g, c_input, aggregated)
+    z, z_t = embed(g, c_input, ac)
     snapshot(config.outer_epochs, g, z, z_t)
 
     return RunResult(z=z, graph=g, diagnostics=diagnostics,

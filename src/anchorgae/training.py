@@ -17,6 +17,7 @@ entries on the graph support (n x k) are kept, for the loss.
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .convolution import (
     ForwardCache,
     apply_anchor_adjacency,
     apply_anchor_adjacency_t,
-    apply_sample_adjacency,
     conv_forward_anchors,
     conv_forward_samples,
+    pool_t,
 )
 from .numerics import pairwise_sq_dist, row_blocks
 
@@ -104,11 +105,13 @@ def loss(p: AnchorGraph, q_sup: np.ndarray) -> float:
     return float(-np.sum(p.weights * np.log(q_sup)))
 
 
-def _branch_grads(g: AnchorGraph, cache: ForwardCache, params: EncoderParams,
-                  grad_out: np.ndarray, apply_adj_t) -> list[np.ndarray]:
-    """Backprop one branch; returns per-layer weight gradients."""
+def _branch_grads(cache: ForwardCache, params: EncoderParams,
+                  grad_out: np.ndarray, spread_t, gather_t) -> list[np.ndarray]:
+    """Backprop one branch whose layers compute s_l = spread(gather(h_l) @ W_l)
+    (convolution._forward); spread_t and gather_t apply the transposes of
+    spread and gather. Returns per-layer weight gradients."""
     n_layers = len(params.layers)
-    if len(cache.aggregated) != n_layers or len(cache.pre_activation) != n_layers:
+    if len(cache.inputs) != n_layers or len(cache.pre_activation) != n_layers:
         raise ValueError("cache does not match params (stale forward?)")
     grads = [None] * n_layers
     grad = grad_out
@@ -116,10 +119,13 @@ def _branch_grads(g: AnchorGraph, cache: ForwardCache, params: EncoderParams,
         if cache.pre_activation[l].shape != grad.shape:
             raise ValueError("cache does not match gradient shapes (stale forward?)")
         if params.activations[l] == "relu":
-            grad = grad * (cache.pre_activation[l] > 0.0)
-        grads[l] = cache.aggregated[l].T @ grad
+            # In place: the last layer is linear, so grad is an array made
+            # here, never the caller's grad_out.
+            np.multiply(grad, cache.pre_activation[l] > 0.0, out=grad)
+        grad = spread_t(grad)
+        grads[l] = cache.inputs[l].T @ grad
         if l > 0:
-            grad = apply_adj_t(g, grad @ params.layers[l].T)
+            grad = gather_t(grad @ params.layers[l].T)
     return grads
 
 
@@ -157,39 +163,43 @@ def backward(g: AnchorGraph, sample_cache: ForwardCache,
     and the reconstruction on the graph support that loss() takes.
 
     The target distribution is g's connectivity rows. Both branches
-    contribute; the sample-side adjacency is symmetric while the anchor-side
-    one needs its explicit transpose.
+    contribute. On the sample side layer l computes B (P_l W_l), with
+    P_l = diag(1/delta) B^T h_l cached by the forward pass, so its gradient
+    g_l goes through B^T once: u = B^T g_l gives the weight gradient
+    P_l^T u and, through B diag(1/delta) (u W_l^T), the gradient of the
+    layer below; every dense product has m rows. The anchor side needs the
+    explicit transpose of its adjacency.
     """
     grad_z, grad_zt, q_sup = _decoder_grads(g, sample_cache.out,
                                             anchor_cache.out)
-    grads_s = _branch_grads(g, sample_cache, params, grad_z,
-                            lambda gg, h: apply_sample_adjacency(gg, h))
-    grads_a = _branch_grads(g, anchor_cache, params, grad_zt,
-                            apply_anchor_adjacency_t)
+    grads_s = _branch_grads(sample_cache, params, grad_z, g.bt_dot,
+                            partial(pool_t, g))
+    grads_a = _branch_grads(anchor_cache, params, grad_zt, lambda h: h,
+                            partial(apply_anchor_adjacency_t, g))
     return [gs + ga for gs, ga in zip(grads_s, grads_a)], q_sup
 
 
 def train(g: AnchorGraph, x: np.ndarray, c: np.ndarray, params: EncoderParams,
           cfg: TrainConfig,
-          aggregated: tuple[np.ndarray, np.ndarray] | None = None,
+          first_inputs: tuple[np.ndarray, np.ndarray] | None = None,
           ) -> tuple[EncoderParams, np.ndarray]:
     """Run cfg.inner_epochs full-batch steps on the siamese encoder.
 
     Updates params in place and returns (params, per-epoch loss trace).
     Aborts with TrainingDiverged naming the epoch if the loss leaves the
-    finite range. aggregated is the first-layer pair
-    (apply_sample_adjacency(g, x), apply_anchor_adjacency(g, c)); g, x and c
-    do not change between epochs, so it is computed once, here if the
-    caller does not pass it.
+    finite range. first_inputs is the first-layer pair, both m x d:
+    (g.pool(x), apply_anchor_adjacency(g, c)); g, x and c do not change
+    between epochs, so it is computed once, here if the caller does not
+    pass it.
     """
-    if aggregated is None:
-        aggregated = (apply_sample_adjacency(g, x), apply_anchor_adjacency(g, c))
-    ax, ac = aggregated
+    if first_inputs is None:
+        first_inputs = (g.pool(x), apply_anchor_adjacency(g, c))
+    px, ac = first_inputs
     trace = np.empty(cfg.inner_epochs)
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(cfg.inner_epochs):
-        _, cache_s = conv_forward_samples(g, x, params, aggregated_x=ax)
+        _, cache_s = conv_forward_samples(g, x, params, pooled_x=px)
         _, cache_a = conv_forward_anchors(g, c, params, aggregated_c=ac)
         grads, q_sup = backward(g, cache_s, cache_a, params)
         value = loss(g, q_sup)

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from anchorgae.anchor_graph import AnchorGraph, _solve_rows
+from anchorgae.convolution import EncoderParams
 
 
 def matmul_loops(a, b):
@@ -201,6 +202,69 @@ def whole_matrix_decoder_grads(g, z, z_t):
     grad_z = -2.0 * (resid @ z_t)
     grad_zt = -2.0 * (resid.T @ z) + 2.0 * resid.sum(axis=0)[:, None] * z_t
     return grad_z, grad_zt, q
+
+
+def apply_sample_adjacency(g, h):
+    """(B diag(1/delta) B^T) @ h, the n-row sample-side aggregate, through
+    two sparse passes (the n x n matrix is never formed)."""
+    b = g.csr()
+    return b @ ((b.T @ h) / g.delta[:, None])
+
+
+def aggregated_forward(g, x, params, apply_adj):
+    """Aggregate-then-multiply forward pass: each layer forms apply_adj(g, h)
+    (n x d_l on the sample side) and multiplies it by W. Returns
+    (out, aggregates, pre-activations)."""
+    h, aggregates, pre = x, [], []
+    for w, tag in zip(params.layers, params.activations):
+        aggregates.append(apply_adj(g, h))
+        pre.append(aggregates[-1] @ w)
+        h = np.maximum(pre[-1], 0.0) if tag == "relu" else pre[-1]
+    return h, aggregates, pre
+
+
+def aggregated_branch_grads(g, aggregates, pre, params, grad_out, apply_adj_t):
+    """Weight gradients of one branch from aggregated_forward's
+    intermediates: aggregate^T g at every layer, apply_adj_t(g, g W^T)
+    between layers."""
+    grads = [None] * len(params.layers)
+    grad = grad_out
+    for l in range(len(params.layers) - 1, -1, -1):
+        if params.activations[l] == "relu":
+            grad = grad * (pre[l] > 0.0)
+        grads[l] = aggregates[l].T @ grad
+        if l > 0:
+            grad = apply_adj_t(g, grad @ params.layers[l].T)
+    return grads
+
+
+def aggregated_sample_grads(g, x, params, grad_z):
+    """Sample-branch weight gradients for upstream gradient grad_z, by the
+    aggregate-then-multiply order (the sample adjacency is symmetric)."""
+    _, aggregates, pre = aggregated_forward(g, x, params, apply_sample_adjacency)
+    return aggregated_branch_grads(g, aggregates, pre, params, grad_z,
+                                   apply_sample_adjacency)
+
+
+def aggregated_anchor_grads(g, c, params, grad_zt):
+    """Anchor-branch weight gradients for upstream gradient grad_zt, with the
+    anchor adjacency applied as two sparse passes."""
+    _, aggregates, pre = aggregated_forward(g, c, params,
+                                            factored_anchor_adjacency)
+    return aggregated_branch_grads(g, aggregates, pre, params, grad_zt,
+                                   factored_anchor_adjacency_t)
+
+
+def encoder_dims(params):
+    """The dimension chain of an encoder: input width, then each layer's
+    output width."""
+    return [params.layers[0].shape[0]] + [w.shape[1] for w in params.layers]
+
+
+def copy_params(params):
+    """An independent copy of an encoder's weights."""
+    return EncoderParams([w.copy() for w in params.layers],
+                         list(params.activations))
 
 
 def dense_gcn_forward(a, x, params):

@@ -205,18 +205,23 @@ def test_c05_linear_scaling_witness():
     rng = make_rng(1005)
     params = init_params([64, 128, 64], rng)
     # Other processes only ever add time, so the fastest of several
-    # repetitions is the estimate least disturbed by load.
-    fastest = {}
-    for n in (10_000, 20_000, 40_000):
+    # repetitions is the estimate least disturbed by load. The sizes take
+    # turns within each repetition (round robin), so a slow start or a
+    # drifting load falls on every size alike.
+    sizes = (10_000, 20_000, 40_000)
+    inputs = {}
+    for n in sizes:
         g = random_bench_graph(n, 200, 4, rng)
         x = rng.normal(size=(n, 64))
         conv_forward_samples(g, x, params, keep_cache=False)  # warm-up
-        reps = []
-        for _ in range(7):
+        inputs[n] = g, x
+    fastest = dict.fromkeys(sizes, np.inf)
+    for _ in range(7):
+        for n in sizes:
+            g, x = inputs[n]
             t0 = time.perf_counter()
             conv_forward_samples(g, x, params, keep_cache=False)
-            reps.append(time.perf_counter() - t0)
-        fastest[n] = min(reps)
+            fastest[n] = min(fastest[n], time.perf_counter() - t0)
     r1 = fastest[20_000] / fastest[10_000]
     r2 = fastest[40_000] / fastest[20_000]
     elapsed = time.perf_counter() - start

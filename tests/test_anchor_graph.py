@@ -13,7 +13,6 @@ from anchorgae.anchor_graph import (
     init_anchors,
     update_anchors,
 )
-from anchorgae.convolution import apply_sample_adjacency
 from anchorgae.numerics import make_rng, pairwise_sq_dist
 from oracles import (
     dense_adjacencies,
@@ -209,6 +208,7 @@ def test_update_anchors_matches_loop_oracle():
             mass[idx[i, t]] += w[i, t]
     expected /= mass[:, None]
     assert np.max(np.abs(update_anchors(x, g) - expected)) < 1e-12
+    assert np.array_equal(update_anchors(x, g), g.pool(x))
 
 
 def test_graph_rejects_dead_anchors():
@@ -441,7 +441,7 @@ def test_normalize_anchor_side_rows_sum_to_one():
 
 def test_dense_adjacency_identity_graph():
     g = AnchorGraph(np.arange(4)[:, None], np.ones((4, 1)), np.zeros((4, 1)), 4)
-    assert np.allclose(apply_sample_adjacency(g, np.eye(4)), np.eye(4))
+    assert np.allclose(g.b_dot(g.pool(np.eye(4))), np.eye(4))
     assert np.allclose(g.anchor_adjacency(), np.eye(4))
 
 
@@ -457,7 +457,7 @@ def test_dense_adjacency_row_stochastic_and_symmetric():
         w = rng.random((n, k)) + 0.05
         w /= w.sum(axis=1, keepdims=True)
         g = AnchorGraph(idx, w, np.zeros((m, 1)), m)
-        a, a_t = apply_sample_adjacency(g, np.eye(n)), g.anchor_adjacency()
+        a, a_t = g.b_dot(g.pool(np.eye(n))), g.anchor_adjacency()
         assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10
         assert np.max(np.abs(a_t.sum(axis=1) - 1.0)) < 1e-10
         assert np.max(np.abs(a - a.T)) < 1e-12
@@ -470,7 +470,7 @@ def test_dense_adjacency_three_row_example():
     g = AnchorGraph(np.array([[0, 1], [1, 0], [0, 1]]),
                     np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]),
                     np.zeros((2, 1)), 2)
-    a = apply_sample_adjacency(g, np.eye(3))
+    a = g.b_dot(g.pool(np.eye(3)))
     assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10
     assert np.max(np.abs(a - a.T)) < 1e-12
 

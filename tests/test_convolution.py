@@ -6,15 +6,17 @@ from anchorgae.convolution import (
     EncoderParams,
     apply_anchor_adjacency,
     apply_anchor_adjacency_t,
-    apply_sample_adjacency,
     conv_forward_anchors,
     conv_forward_samples,
     init_params,
 )
 from anchorgae.numerics import make_rng
 from oracles import (
+    aggregated_forward,
+    apply_sample_adjacency,
     dense_adjacencies,
     dense_gcn_forward,
+    encoder_dims,
     factored_anchor_adjacency,
     factored_anchor_adjacency_t,
 )
@@ -61,7 +63,7 @@ def test_init_params_default_stack_sizes():
     assert params.layers[0].shape == (784, 128)
     assert params.layers[1].shape == (128, 64)
     assert params.activations == ["relu", "linear"]
-    assert params.dims == [784, 128, 64]
+    assert encoder_dims(params) == [784, 128, 64]
 
 
 def test_init_params_rejects_single_dim():
@@ -85,7 +87,7 @@ def test_identity_graph_single_linear_layer_is_xw():
     params = init_params([4, 2], rng)
     z, cache = conv_forward_samples(identity_graph(6), x, params)
     assert np.max(np.abs(z - x @ params.layers[0])) < 1e-12
-    assert len(cache.aggregated) == 1 and len(cache.pre_activation) == 1
+    assert len(cache.inputs) == 1 and len(cache.pre_activation) == 1
 
 
 def test_factored_matches_dense_oracle_both_branches():
@@ -129,12 +131,34 @@ def test_given_first_layer_aggregate_is_used_uncopied():
     x = rng.normal(size=(30, 4))
     c = rng.normal(size=(6, 4))
     params = init_params([4, 5, 3], rng)
-    ax, ac = apply_sample_adjacency(g, x), apply_anchor_adjacency(g, c)
-    z, cache_s = conv_forward_samples(g, x, params, aggregated_x=ax)
+    px, ac = g.pool(x), apply_anchor_adjacency(g, c)
+    z, cache_s = conv_forward_samples(g, x, params, pooled_x=px)
     z_t, cache_a = conv_forward_anchors(g, c, params, aggregated_c=ac)
-    assert cache_s.aggregated[0] is ax and cache_a.aggregated[0] is ac
+    assert cache_s.inputs[0] is px and cache_a.inputs[0] is ac
     assert np.array_equal(z, conv_forward_samples(g, x, params)[0])
     assert np.array_equal(z_t, conv_forward_anchors(g, c, params)[0])
+    ref_z, _, _ = aggregated_forward(g, x, params, apply_sample_adjacency)
+    assert np.max(np.abs(z - ref_z)) < 1e-12
+
+
+def test_sample_layers_match_aggregate_then_multiply_oracle():
+    rng = make_rng(13)
+    for n, m, k, dims in ((40, 8, 3, [5, 6, 3]), (60, 12, 1, [3, 7, 4, 2]),
+                          (30, 6, 4, [9, 2])):
+        g = random_graph(n, m, k, rng)
+        x = rng.normal(size=(n, dims[0]))
+        params = init_params(dims, rng)
+        z, cache = conv_forward_samples(g, x, params)
+        ref_z, aggregates, pre = aggregated_forward(g, x, params,
+                                                    apply_sample_adjacency)
+        assert np.max(np.abs(z - ref_z)) < 1e-12
+        for p_l, a_l, s_l, ref_s in zip(cache.inputs, aggregates,
+                                        cache.pre_activation, pre):
+            # The m-row input is the pooled one; spreading it back with B
+            # gives the n-row aggregate.
+            assert p_l.shape == (g.m, a_l.shape[1])
+            assert np.max(np.abs(g.b_dot(p_l) - a_l)) < 1e-12
+            assert np.max(np.abs(s_l - ref_s)) < 1e-12
 
 
 def test_relu_kills_all_negative_preactivations():
@@ -192,5 +216,9 @@ def test_dimension_mismatch_errors():
     with pytest.raises(ValueError, match="graph has"):
         conv_forward_anchors(g, rng.normal(size=(5, 3)), params)
     x = rng.normal(size=(10, 3))
-    with pytest.raises(ValueError, match="aggregated input"):
-        conv_forward_samples(g, x, params, aggregated_x=x[:, :2])
+    with pytest.raises(ValueError, match="first-layer input"):
+        conv_forward_samples(g, x, params, pooled_x=x[:, :2])
+    with pytest.raises(ValueError, match="first-layer input"):
+        conv_forward_samples(g, x, params, pooled_x=x)
+    with pytest.raises(ValueError, match="first-layer input"):
+        conv_forward_anchors(g, x[:4], params, aggregated_c=x[:3])

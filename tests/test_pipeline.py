@@ -121,6 +121,7 @@ def test_pullback_stays_in_convex_hull():
     g = AnchorGraph(idx, w, np.zeros((6, 4)), 6)
     x = rng.normal(size=(30, 4)) * 3
     pulled = pullback_anchors(x, g)
+    assert np.array_equal(pulled, g.pool(x))
     for col in range(4):
         assert pulled[:, col].min() >= x[:, col].min() - 1e-12
         assert pulled[:, col].max() <= x[:, col].max() + 1e-12
@@ -269,33 +270,44 @@ def test_run_caps_every_graph_fit_at_the_default(monkeypatch):
     assert max(lengths) == FIT_MAX_ITERS == 15
 
 
-def count_layer0_aggregations(monkeypatch, d_in):
-    """Count sample- and anchor-side aggregations of d_in-wide inputs (layer
-    0 only, when no hidden width equals d_in), split by whether they run
-    inside pipeline's call to train."""
+def count_layer0_products(monkeypatch, d_in):
+    """Count the sample-side poolings and anchor-side aggregations of d_in-wide
+    inputs (layer 0 only, when no hidden width equals d_in), split by
+    whether they run inside pipeline's call to train, inside a graph fit or
+    pullback (where pooling x is how the anchor inputs are made), or
+    elsewhere."""
     import anchorgae.convolution as convolution
     import anchorgae.pipeline as pipeline
-    import anchorgae.training as training
 
-    counts = {"inside": 0, "outside": 0}
-    in_train = [False]
-    for name in ("apply_sample_adjacency", "apply_anchor_adjacency"):
-        def counted(g, h, _orig=getattr(convolution, name)):
-            if h.shape[1] == d_in:
-                counts["inside" if in_train[0] else "outside"] += 1
-            return _orig(g, h)
-        for mod in (convolution, training, pipeline):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counted)
+    counts = {(op, where): 0 for op in ("pool", "aggregate")
+              for where in ("train", "fit", "other")}
+    where = ["other"]
 
-    def flagged_train(*args, _orig=pipeline.train, **kwargs):
-        in_train[0] = True
-        try:
-            return _orig(*args, **kwargs)
-        finally:
-            in_train[0] = False
+    def count(op, h):
+        if h.shape[1] == d_in:
+            counts[op, where[0]] += 1
 
-    monkeypatch.setattr(pipeline, "train", flagged_train)
+    def counted_pool(g, h, _orig=AnchorGraph.pool):
+        count("pool", h)
+        return _orig(g, h)
+
+    def counted_aggregate(g, h, _orig=convolution.apply_anchor_adjacency):
+        count("aggregate", h)
+        return _orig(g, h)
+
+    monkeypatch.setattr(AnchorGraph, "pool", counted_pool)
+    for mod in (convolution, pipeline):
+        monkeypatch.setattr(mod, "apply_anchor_adjacency", counted_aggregate)
+    for name, label in (("train", "train"), ("fit_anchor_graph", "fit"),
+                        ("pullback_anchors", "fit")):
+        def flagged(*args, _orig=getattr(pipeline, name), _label=label,
+                    **kwargs):
+            where[0] = _label
+            try:
+                return _orig(*args, **kwargs)
+            finally:
+                where[0] = "other"
+        monkeypatch.setattr(pipeline, name, flagged)
     return counts
 
 
@@ -303,11 +315,50 @@ def count_layer0_aggregations(monkeypatch, d_in):
 def test_layer0_aggregated_once_per_graph_not_per_epoch(monkeypatch, mode,
                                                         graphs):
     x, _ = scaled_blobs(n=200, d=7)
-    counts = count_layer0_aggregations(monkeypatch, d_in=7)
+    counts = count_layer0_products(monkeypatch, d_in=7)
     run_anchorgae(x, quick_config(anchors=20, hidden_dims=(6, 4),
                                   outer_epochs=2, inner_epochs=5, mode=mode))
-    # One sample- and one anchor-side aggregation per graph fit.
-    assert counts == {"inside": 0, "outside": 2 * graphs}
+    # One anchor-side aggregation per graph fit. The sample side's pooled
+    # input is the anchor input that the fit or the pullback made, so x is
+    # pooled nowhere else.
+    assert counts["aggregate", "other"] == graphs
+    assert counts["aggregate", "train"] == counts["aggregate", "fit"] == 0
+    assert counts["pool", "train"] == counts["pool", "other"] == 0
+    assert counts["pool", "fit"] > 0
+
+
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_sample_side_first_input_is_the_anchor_input(monkeypatch, mode):
+    """Every sample-side forward pass of a run gets x pooled onto its graph
+    as its first-layer input, and that is the anchor input c, bit for bit."""
+    from anchorgae import training
+
+    x, _ = scaled_blobs(n=200, d=7, seed=1)
+    checked = []
+
+    def checking(g, x_in, params, keep_cache=True, pooled_x=None,
+                 _orig=pipeline.conv_forward_samples):
+        assert pooled_x is not None
+        assert np.array_equal(pooled_x, g.pool(x_in))
+        checked.append(g)
+        return _orig(g, x_in, params, keep_cache, pooled_x)
+
+    def checking_anchors(g, c, params, keep_cache=True, aggregated_c=None,
+                         _orig=pipeline.conv_forward_anchors):
+        assert np.array_equal(c, g.pool(x))
+        return _orig(g, c, params, keep_cache, aggregated_c)
+
+    for mod in (pipeline, training):
+        monkeypatch.setattr(mod, "conv_forward_samples", checking)
+        monkeypatch.setattr(mod, "conv_forward_anchors", checking_anchors)
+    for seed in range(3):
+        checked.clear()
+        run_anchorgae(x, quick_config(anchors=20, hidden_dims=(6, 4),
+                                      outer_epochs=3, inner_epochs=2,
+                                      mode=mode, seed=seed))
+        # Each of the four round graphs is checked (one in fixed_b).
+        assert len({id(g) for g in checked}) == (1 if mode == "fixed_b"
+                                                 else 4)
 
 
 def test_fixed_k_uniformity_trend_once_well_trained():

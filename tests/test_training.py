@@ -16,6 +16,7 @@ from anchorgae.convolution import (
     conv_forward_anchors,
     conv_forward_samples,
     init_params,
+    pool_t,
 )
 from anchorgae.numerics import make_rng, row_blocks
 from anchorgae.training import (
@@ -30,9 +31,16 @@ from anchorgae.training import (
     decode_on_support,
 )
 from oracles import (
+    aggregated_anchor_grads,
+    aggregated_forward,
+    aggregated_sample_grads,
+    apply_sample_adjacency,
+    copy_params,
     entropy,
+    factored_anchor_adjacency,
     numerical_grads,
     on_support,
+    random_bench_graph,
     whole_matrix_decode,
     whole_matrix_decoder_grads,
     whole_matrix_loss,
@@ -151,6 +159,11 @@ def test_loss_shape_check():
 
 # --------------------------------------------------------------- backward
 
+def sample_branch_grads(g, cache, params, grad_z):
+    return _branch_grads(cache, params, grad_z, g.bt_dot,
+                         lambda h: pool_t(g, h))
+
+
 def test_backward_zero_at_exact_reconstruction(monkeypatch):
     rng = make_rng(53)
     g, x, c, params = random_instance(rng)
@@ -188,13 +201,13 @@ def test_branch_backprop_linear_in_upstream():
     rng = make_rng(55)
     g, x, c, params = random_instance(rng)
     _, cache_s = conv_forward_samples(g, x, params)
-    from anchorgae.convolution import apply_sample_adjacency
     upstream = rng.normal(size=cache_s.out.shape)
-    g1 = _branch_grads(g, cache_s, params, upstream, apply_sample_adjacency)
-    g2 = _branch_grads(g, cache_s, params, 3.0 * upstream,
-                       apply_sample_adjacency)
-    for a, b in zip(g1, g2):
+    g1 = sample_branch_grads(g, cache_s, params, upstream)
+    g2 = sample_branch_grads(g, cache_s, params, 3.0 * upstream)
+    ref = aggregated_sample_grads(g, x, params, upstream)
+    for a, b, r in zip(g1, g2, ref):
         assert np.max(np.abs(3.0 * a - b)) < 1e-12
+        assert np.max(np.abs(a - r)) < 1e-12
 
 
 def test_backward_sums_both_siamese_branches():
@@ -205,15 +218,12 @@ def test_backward_sums_both_siamese_branches():
     q = decode(z, z_t)
     total, _ = backward(g, cache_s, cache_a, params)
 
-    from anchorgae.convolution import apply_anchor_adjacency_t, apply_sample_adjacency
     resid = -q.copy()
     resid[np.arange(g.n)[:, None], g.indices] += g.weights
     grad_z = -2.0 * (resid @ z_t)
     grad_zt = -2.0 * (resid.T @ z) + 2.0 * resid.sum(axis=0)[:, None] * z_t
-    only_s = _branch_grads(g, cache_s, params, grad_z,
-                           lambda gg, h: apply_sample_adjacency(gg, h))
-    only_a = _branch_grads(g, cache_a, params, grad_zt,
-                           apply_anchor_adjacency_t)
+    only_s = aggregated_sample_grads(g, x, params, grad_z)
+    only_a = aggregated_anchor_grads(g, c, params, grad_zt)
     for t, s, a in zip(total, only_s, only_a):
         assert np.max(np.abs(t - (s + a))) < 1e-12
         assert np.max(np.abs(s)) > 0  # both branches actually contribute
@@ -249,8 +259,6 @@ def assert_close(value, ref, tol=1e-12):
 @pytest.mark.parametrize("n", [23, 1])
 def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
                                                   rows_per_block):
-    from anchorgae.convolution import (apply_anchor_adjacency_t,
-                                       apply_sample_adjacency)
     rng = make_rng(66)
     if n == 1:
         g, x, c, params = single_row_instance(rng)
@@ -272,8 +280,8 @@ def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
     assert_close(decode_on_support(g, z, z_t), on_support(g, ref_q))
 
     grads, q_sup = backward(g, cache_s, cache_a, params)
-    ref_s = _branch_grads(g, cache_s, params, ref_z, apply_sample_adjacency)
-    ref_a = _branch_grads(g, cache_a, params, ref_zt, apply_anchor_adjacency_t)
+    ref_s = aggregated_sample_grads(g, x, params, ref_z)
+    ref_a = aggregated_anchor_grads(g, c, params, ref_zt)
     for grad, s, a in zip(grads, ref_s, ref_a):
         assert_close(grad, s + a)
     assert_close(q_sup, on_support(g, ref_q))
@@ -440,16 +448,20 @@ def test_train_aborts_on_divergence_naming_epoch():
 
 
 def reaggregating_train(g, x, c, params, cfg):
-    """The adam loop of train, aggregating x and c afresh every epoch."""
+    """The adam loop of train by the aggregate-then-multiply order,
+    aggregating x and c afresh every epoch."""
     beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
     trace = []
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(cfg.inner_epochs):
-        _, cache_s = conv_forward_samples(g, x, params)
-        _, cache_a = conv_forward_anchors(g, c, params)
-        grads, q_sup = backward(g, cache_s, cache_a, params)
-        trace.append(loss(g, q_sup))
+        z, _, _ = aggregated_forward(g, x, params, apply_sample_adjacency)
+        z_t, _, _ = aggregated_forward(g, c, params, factored_anchor_adjacency)
+        grad_z, grad_zt, q = whole_matrix_decoder_grads(g, z, z_t)
+        grads = [s + a for s, a in zip(
+            aggregated_sample_grads(g, x, params, grad_z),
+            aggregated_anchor_grads(g, c, params, grad_zt))]
+        trace.append(whole_matrix_loss(g, q))
         t = epoch + 1
         for w, grad, m1, v1 in zip(params.layers, grads, adam_m, adam_v):
             m1[...] = beta1 * m1 + (1.0 - beta1) * grad
@@ -461,18 +473,33 @@ def reaggregating_train(g, x, c, params, cfg):
 
 
 def test_train_hoisted_aggregates_match_reaggregating_loop():
-    from anchorgae.convolution import (apply_anchor_adjacency,
-                                       apply_sample_adjacency)
+    from anchorgae.convolution import apply_anchor_adjacency
     rng = make_rng(65)
     g, x, c, params = random_instance(rng, n=30, m=6, k=3)
-    ref_params = params.copy()
+    ref_params = copy_params(params)
     cfg = TrainConfig(inner_epochs=3, learning_rate=1e-2)
-    aggregated = (apply_sample_adjacency(g, x), apply_anchor_adjacency(g, c))
-    _, trace = train(g, x, c, params, cfg, aggregated)
+    first_inputs = (g.pool(x), apply_anchor_adjacency(g, c))
+    _, trace = train(g, x, c, params, cfg, first_inputs)
     ref_trace = reaggregating_train(g, x, c, ref_params, cfg)
     assert np.max(np.abs(trace - ref_trace)) < 1e-10
     for w, ref in zip(params.layers, ref_params.layers):
         assert np.max(np.abs(w - ref)) < 1e-10
+
+
+def test_train_allocates_no_sample_by_input_array():
+    # The sample side pools x onto the anchors before any dense product,
+    # so no n x d_0 array (25 MB here) is formed, in the cache or anywhere.
+    # The hidden layers are narrow, so that all the n x d_l arrays live at
+    # once stay well below one n x d_0 array.
+    n, m, d = 4000, 200, 784
+    rng = make_rng(71)
+    g = random_bench_graph(n, m, 5, rng)
+    x = rng.random((n, d))
+    c = rng.random((m, d))
+    params = init_params([d, 32, 16], rng)
+    assert peak_bytes(lambda: train(g, x, c, params,
+                                    TrainConfig(inner_epochs=2))) \
+        < n * d * 8
 
 
 def test_train_config_validation():
