@@ -302,7 +302,8 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
             })
 
         anchors = update_anchors(x, g)
-        # Freed first, so a fit holds at most two n x m arrays at once.
+        # Freed first; the distance call forms its result in the product's
+        # buffer, so a fit holds one n x m array at a time.
         del dists
         dists = pairwise_sq_dist(x, anchors)
 

@@ -1,8 +1,13 @@
 """Clustering quality measures: accuracy under the optimal label matching
-and normalized mutual information (geometric-mean normalizer)."""
+and normalized mutual information (geometric-mean normalizer).
+
+The matching is solved by `scipy.sparse.csgraph`, which the pipeline loads
+anyway, so importing this module does not load `scipy.optimize`.
+"""
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy.sparse as sp
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 
 def _contingency(pred, truth) -> np.ndarray:
@@ -23,13 +28,16 @@ def _contingency(pred, truth) -> np.ndarray:
 
 def acc(pred, truth) -> float:
     """Fraction of samples matched under the best predicted-to-true label
-    bijection (Hungarian assignment on the padded contingency table)."""
+    bijection (minimum-weight perfect matching on the padded contingency
+    table). The costs max - count + 1 are all positive, so the sparse
+    matcher reads every entry as an edge and the graph is complete."""
     table = _contingency(pred, truth)
     size = max(table.shape)
-    cost = np.zeros((size, size), dtype=np.int64)
-    cost[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(cost.max() - cost)
-    return float(cost[rows, cols].sum()) / float(table.sum())
+    counts = np.zeros((size, size), dtype=np.int64)
+    counts[: table.shape[0], : table.shape[1]] = table
+    cost = sp.csr_array((counts.max() - counts + 1).astype(np.float64))
+    rows, cols = min_weight_full_bipartite_matching(cost)
+    return float(counts[rows, cols].sum()) / float(table.sum())
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -9,11 +9,11 @@ m x m anchor matrices, never on n x n sample matrices.
 import numpy as np
 
 # Entries per row block (a row is never split): 2**16 float64 is 512 KiB
-# per block array. The decoder and the graph fit's row solve both run over
-# these blocks. On two cores, the decoder (n=3000-20000, m=200-256, d=64)
-# times alike from 2**15 to 2**18 and is up to 1.6x slower at 2**12; the
-# row solve (n=3000, m=256) times alike from 2**14 to 2**20 and is 1.3x
-# slower at 2**12.
+# per block array. The distances, the decoder and the graph fit's row
+# solve run over these blocks. On two cores, the decoder (n=3000-20000,
+# m=200-256, d=64) times alike from 2**15 to 2**18 and is up to 1.6x slower
+# at 2**12; the row solve (n=3000, m=256) times alike from 2**14 to 2**20
+# and is 1.3x slower at 2**12.
 BLOCK_ENTRIES = 2 ** 16
 
 
@@ -56,8 +56,10 @@ def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Uses the norm expansion with a single BLAS product; catastrophic-
     cancellation negatives are clamped to 0. When a and b are the same
-    array object the diagonal is exactly 0 by construction. The product is
-    doubled in place, which is exact, so only two n x m arrays are allocated.
+    array object the diagonal is exactly 0 by construction. The distances
+    are formed in the product's own buffer, one row block at a time, as
+    (sq_a + sq_b) - 2 * product with the norm sums in one reused block, so
+    one n x m array plus one block is allocated.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -65,16 +67,23 @@ def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"pairwise_sq_dist needs matching feature dims, got {a.shape} and {b.shape}"
         )
-    cross = a @ b.T
+    d = a @ b.T
+    if d.size == 0:  # no first block at n = 0; row_blocks divides by m
+        return d
     if a is b:
-        sq_a = sq_b = np.diagonal(cross).copy()
+        sq_a = sq_b = np.diagonal(d).copy()
     else:
         sq_a = np.einsum("ij,ij->i", a, a)
         sq_b = np.einsum("ij,ij->i", b, b)
-    cross *= 2.0
-    d = sq_a[:, None] + sq_b[None, :]
-    d -= cross
-    np.maximum(d, 0.0, out=d)
+    blocks = list(row_blocks(*d.shape))
+    norms = np.empty((blocks[0].stop, d.shape[1]))
+    for rows in blocks:
+        block = d[rows]
+        sums = norms[:block.shape[0]]
+        np.add(sq_a[rows, None], sq_b[None, :], out=sums)
+        block *= 2.0
+        np.subtract(sums, block, out=block)
+        np.maximum(block, 0.0, out=block)
     return d
 
 

@@ -72,8 +72,7 @@ def decode(z: np.ndarray, z_t: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"embedding dims differ: samples {z.shape[1]}, anchors {z_t.shape[1]}")
     q = pairwise_sq_dist(z, z_t)
-    q -= q.min(axis=1, keepdims=True)
-    np.negative(q, out=q)
+    np.subtract(q.min(axis=1, keepdims=True), q, out=q)
     np.exp(q, out=q)
     q /= q.sum(axis=1, keepdims=True)
     return q

@@ -1,18 +1,29 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loops, dense matrices, brute force)
-and shares no code with the production paths it checks, with two
-exceptions: random_bench_graph only builds inputs, and
-solve_connectivity_row is the production row solve seen one dense row at a
-time, for the tests that state the closed form row by row.
+and shares no code with the production paths it checks, with three
+exceptions: random_bench_graph only builds inputs, peak_bytes only
+measures, and solve_connectivity_row is the production row solve seen one
+dense row at a time, for the tests that state the closed form row by row.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 
 from anchorgae.anchor_graph import AnchorGraph, _solve_rows
 from anchorgae.convolution import EncoderParams
+
+
+def peak_bytes(fn):
+    """Peak bytes allocated while fn runs, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def matmul_loops(a, b):

@@ -30,6 +30,7 @@ from oracles import (
     dense_gcn_forward,
     numerical_grads,
     on_support,
+    peak_bytes,
     projected_gradient_row,
     random_bench_graph,
     solve_connectivity_row,
@@ -231,6 +232,41 @@ def test_c05_linear_scaling_witness():
            f"{fastest[20_000]*1e3:.1f}/{fastest[40_000]*1e3:.1f} ms, "
            f"doubling ratios {r1:.2f} and {r2:.2f} (<= 2.6) in {elapsed:.1f}s")
     assert r1 <= 2.6 and r2 <= 2.6
+    assert elapsed < 120.0
+
+
+def test_whole_fit_linear_scaling():
+    # c05 times the forward pass alone; this times run_anchorgae end to end
+    # (both graph fits, training, pullback, diagnostics) and records its
+    # tracemalloc peak. m, d, the cluster count and so k stay fixed, so
+    # time and memory should both double with n. Timing as in c05: fastest
+    # of several repetitions, sizes round robin.
+    start = time.perf_counter()
+    config = AnchorGaeConfig(clusters=4, anchors=100, hidden_dims=(16, 8),
+                             outer_epochs=1, inner_epochs=3, seed=0)
+    sizes = (10_000, 20_000, 40_000)
+    inputs = {n: minmax_scale(make_blobs(n, 16, 4, 6.0, make_rng(n)).x)
+              for n in sizes}
+    fastest = dict.fromkeys(sizes, np.inf)
+    for _ in range(5):
+        for n in sizes:
+            t0 = time.perf_counter()
+            run_anchorgae(inputs[n], config)
+            fastest[n] = min(fastest[n], time.perf_counter() - t0)
+    peaks = {n: peak_bytes(lambda: run_anchorgae(inputs[n], config))
+             for n in sizes}
+    t1, t2 = (fastest[b] / fastest[a] for a, b in zip(sizes, sizes[1:]))
+    p1, p2 = (peaks[b] / peaks[a] for a, b in zip(sizes, sizes[1:]))
+    elapsed = time.perf_counter() - start
+    ok = max(t1, t2) <= 2.6 and max(p1, p2) <= 2.2 and elapsed < 120.0
+    report(ok, "whole-fit linear scaling",
+           f"fastest of 5 fits {fastest[10_000]:.2f}/{fastest[20_000]:.2f}/"
+           f"{fastest[40_000]:.2f} s, doubling ratios {t1:.2f} and {t2:.2f} "
+           f"(<= 2.6); peaks {peaks[10_000] / 2**20:.1f}/"
+           f"{peaks[20_000] / 2**20:.1f}/{peaks[40_000] / 2**20:.1f} MiB, "
+           f"doubling ratios {p1:.2f} and {p2:.2f} (<= 2.2) in {elapsed:.1f}s")
+    assert t1 <= 2.6 and t2 <= 2.6
+    assert p1 <= 2.2 and p2 <= 2.2
     assert elapsed < 120.0
 
 

@@ -1,9 +1,38 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from anchorgae.metrics import acc, nmi
 from anchorgae.numerics import make_rng
 from oracles import brute_force_acc
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def table_labels(table):
+    """Label vectors whose contingency table is table (rows: predicted)."""
+    rows, cols = np.nonzero(table)
+    counts = table[rows, cols]
+    return np.repeat(rows, counts), np.repeat(cols, counts)
+
+
+def random_table(rng, kind):
+    r, c = (int(v) for v in rng.integers(1, 13, size=2))
+    if kind == "uniform":
+        table = rng.integers(0, 50, size=(r, c))
+    elif kind == "zero-heavy":
+        table = rng.integers(1, 50, size=(r, c)) * (rng.random((r, c)) < 0.15)
+    else:
+        table = np.full((r, c), int(rng.integers(1, 9)))
+    if not table.any():
+        table[int(rng.integers(r)), int(rng.integers(c))] = 1
+    return table
 
 
 def test_acc_relabeling_invariance():
@@ -26,6 +55,51 @@ def test_acc_matches_brute_force_permutations():
         pred = rng.integers(0, c, size=n)
         truth = rng.integers(0, c, size=n)
         assert acc(pred, truth) == pytest.approx(brute_force_acc(pred, truth))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "zero-heavy", "constant"])
+def test_acc_equals_linear_sum_assignment_reference(kind):
+    rng = make_rng({"uniform": 88, "zero-heavy": 89, "constant": 90}[kind])
+    for _ in range(400):
+        table = random_table(rng, kind)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        expected = float(table[rows, cols].sum()) / float(table.sum())
+        assert acc(*table_labels(table)) == expected
+
+
+def test_acc_matches_brute_force_on_small_rectangular_tables():
+    rng = make_rng(91)
+    for _ in range(100):
+        table = random_table(rng, "zero-heavy")[:5, :6]
+        if not table.any():
+            continue
+        pred, truth = table_labels(table)
+        assert acc(pred, truth) == pytest.approx(brute_force_acc(pred, truth),
+                                                 abs=1e-12)
+
+
+def test_importing_the_package_and_fitting_loads_no_scipy_optimize(tmp_path):
+    # scipy.optimize costs about 0.27 s and 17 MiB to import; the label
+    # matching runs on scipy.sparse.csgraph, which the pipeline loads anyway.
+    script = textwrap.dedent(f"""
+        import sys
+        import anchorgae.metrics, anchorgae.pipeline, anchorgae.clustering
+        from anchorgae import cli
+        code = cli.main(["fit", "--format", "blobs", "--n", "120", "--dim", "4",
+                         "--clusters", "3", "--anchors", "12",
+                         "--layers", "8,4", "--outer-epochs", "1",
+                         "--inner-epochs", "2", "--seed", "0",
+                         "--report", {str(tmp_path / "report.json")!r}])
+        assert code == 0, code
+        assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded"
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "acc=" in out.stdout
 
 
 def test_acc_invariant_under_label_permutation():

@@ -12,6 +12,7 @@ from oracles import (
     matmul_loops,
     pairwise_loops,
     pairwise_sq_dist_expression,
+    peak_bytes,
 )
 
 
@@ -68,15 +69,27 @@ def test_pairwise_matches_per_pair_oracle():
 
 
 @pytest.mark.parametrize("n,m,d", [(3000, 256, 16), (3000, 200, 64),
-                                   (2000, 200, 784), (1, 1, 1), (7, 3, 2)])
+                                   (2000, 200, 784), (1, 1, 1), (7, 3, 2),
+                                   (0, 5, 3), (5, 0, 3)])
 def test_pairwise_same_bits_as_one_expression(n, m, d):
     rng = make_rng(19)
     a = rng.normal(size=(n, d)) * 3.0
     b = rng.normal(size=(m, d))
-    assert np.array_equal(pairwise_sq_dist(a, b),
-                          pairwise_sq_dist_expression(a, b))
+    d_ab = pairwise_sq_dist(a, b)
+    assert d_ab.shape == (n, m)
+    assert np.array_equal(d_ab, pairwise_sq_dist_expression(a, b))
     assert np.array_equal(pairwise_sq_dist(b, b),
                           pairwise_sq_dist_expression(b, b))
+
+
+@pytest.mark.parametrize("n,m,same", [(6000, 300, False), (2000, 2000, True)])
+def test_pairwise_peaks_near_its_result(n, m, same):
+    # The distances are formed in the product's buffer; only the norms and
+    # one block of their sums come on top of the n x m result.
+    rng = make_rng(20)
+    a = rng.normal(size=(n, 8))
+    b = a if same else rng.normal(size=(m, 8))
+    assert peak_bytes(lambda: pairwise_sq_dist(a, b)) < 1.2 * n * m * 8
 
 
 def test_pairwise_symmetry():

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +39,7 @@ from oracles import (
     factored_anchor_adjacency,
     numerical_grads,
     on_support,
+    peak_bytes,
     random_bench_graph,
     whole_matrix_decode,
     whole_matrix_decoder_grads,
@@ -328,16 +328,6 @@ def test_train_nan_embeddings_raise_diverged(monkeypatch):
         train(g, x, c, params, TrainConfig(inner_epochs=3))
 
 
-def peak_bytes(fn):
-    """Peak bytes allocated while fn runs, as tracemalloc counts them."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_blocked_pass_holds_no_sample_by_anchor_array():
     n, m, k = 6000, 300, 5
     rng = make_rng(69)
@@ -361,17 +351,18 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
         < n_by_m_bytes
 
 
-def test_graph_fit_holds_two_sample_by_anchor_arrays():
-    # At most two n x m arrays live at once, the distance call's product
-    # and result: the previous distances are freed before the call, and
-    # the row solve's temporaries are one row block each.
+def test_graph_fit_holds_one_sample_by_anchor_array():
+    # One n x m array lives at a time, the distances: the previous ones
+    # are freed before the distance call, which forms its result in the
+    # product's buffer, and the distance call's norm sums and the row
+    # solve's temporaries are one row block each.
     n, m = 6000, 300
     rng = make_rng(70)
     x = rng.normal(size=(n, 8))
     anchors = init_anchors(x, m, rng)
     cfg = ConnectivitySolveConfig(k=5, max_iters=3)
     assert peak_bytes(lambda: fit_anchor_graph(x, anchors, cfg)) \
-        < 2.5 * n * m * 8
+        < 1.3 * n * m * 8
 
 
 def test_train_calls_loss_once_per_epoch(monkeypatch):
