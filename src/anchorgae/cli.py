@@ -28,7 +28,10 @@ def _apply_thread_cap() -> None:
     try:
         limit = int(cap)
     except ValueError:
-        raise ConfigError(f"ANCHORGAE_THREADS must be an integer, got {cap!r}")
+        limit = 0
+    if limit < 1:
+        raise ConfigError(
+            f"ANCHORGAE_THREADS must be an integer >= 1, got {cap!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, cap)

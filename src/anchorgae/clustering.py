@@ -14,6 +14,9 @@ import numpy as np
 from .anchor_graph import AnchorGraph
 from .numerics import make_rng, pairwise_sq_dist, sym_eig_topc
 
+# k-means++ seeded Lloyd runs per k-means call; the best one is kept.
+KMEANS_RESTARTS = 10
+
 
 @dataclass
 class ClusterAssignment:
@@ -71,15 +74,16 @@ def _lloyd(z: np.ndarray, centers: np.ndarray, max_iter: int = 100,
     return labels, wcss
 
 
-def kmeans(z: np.ndarray, c: int, rng: np.random.Generator,
-           restarts: int = 10) -> ClusterAssignment:
-    """Best-of-restarts k-means with k-means++ seeding; ties between restarts
-    go to the earliest one, so the result is deterministic given the rng."""
+def kmeans(z: np.ndarray, c: int, rng: np.random.Generator
+           ) -> ClusterAssignment:
+    """Best of KMEANS_RESTARTS k-means runs with k-means++ seeding; ties
+    between restarts go to the earliest one, so the result is deterministic
+    given the rng."""
     z = np.asarray(z, dtype=np.float64)
     if not (1 <= c <= z.shape[0]):
         raise ValueError(f"need 1 <= c <= n={z.shape[0]}, got c={c}")
     best_labels, best_wcss = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_seed(z, c, rng)
         labels, wcss = _lloyd(z, centers)
         if wcss < best_wcss:
@@ -87,8 +91,7 @@ def kmeans(z: np.ndarray, c: int, rng: np.random.Generator,
     return ClusterAssignment(best_labels, c)
 
 
-def spectral_via_svd(g: AnchorGraph, c: int, seed: int = 0,
-                     restarts: int = 10):
+def spectral_via_svd(g: AnchorGraph, c: int, seed: int = 0):
     """Bipartite spectral clustering via the SVD of B diag(delta)^(-1/2).
 
     The right singular vectors are eigenvectors of the m x m Gram matrix;
@@ -123,7 +126,7 @@ def spectral_via_svd(g: AnchorGraph, c: int, seed: int = 0,
         return v_scaled, u_scaled, ClusterAssignment(np.zeros(g.n, dtype=np.int64), c)
     unit = np.zeros_like(v)
     unit[ok] = v[ok] / norms[ok, None]
-    assignment = kmeans(unit[ok], c, make_rng(seed), restarts=restarts)
+    assignment = kmeans(unit[ok], c, make_rng(seed))
     labels = np.empty(g.n, dtype=np.int64)
     labels[ok] = assignment.labels
     if not np.all(ok):

@@ -8,11 +8,12 @@ with B. The dense product thus has m rows, not n, and the per-layer cost is
 linear in the number of samples for fixed anchor count and widths. The
 anchor-side adjacency diag(1/delta) B^T B is a dense m x m matrix, O(m^2)
 memory, formed in O(n k^2 + m^2) once per graph and cached on the
-AnchorGraph; applying it is one m x m product. Within one round the graph
-and the first-layer inputs are fixed, so a caller may compute the
-first-layer pooled and aggregated inputs once and pass them to every
-forward pass of that round; the pooled samples g.pool(x) are exactly the
-anchor inputs that the graph fit and the pullback compute.
+AnchorGraph; applying it is one m x m product.
+
+Both forward passes take their first layer's m-row input rather than the
+raw features: g.pool(x) on the sample side, apply_anchor_adjacency(g, c) on
+the anchor side. Both stay fixed while the graph does, so the caller forms
+them once per graph.
 """
 
 from dataclasses import dataclass
@@ -100,10 +101,16 @@ def apply_anchor_adjacency_t(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
     return g.anchor_adjacency().T @ h
 
 
-def _forward(params: EncoderParams, first: np.ndarray, gather, spread,
-             keep_cache: bool) -> tuple[np.ndarray, ForwardCache | None]:
+def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
+             gather, spread, keep_cache: bool
+             ) -> tuple[np.ndarray, ForwardCache | None]:
     """Layer l computes s_l = spread(gather(h_l) @ W_l); first is
-    gather(h_0), computed by the caller."""
+    gather(h_0), m x d_in, formed by the caller and used (and cached) as
+    is, uncopied."""
+    expected = (g.m, params.layers[0].shape[0])
+    if first.shape != expected:
+        raise ValueError(f"first-layer input has shape {first.shape}, "
+                         f"expected {expected}")
     inputs, pre = [], []
     m_l = first
     for l, (w, tag) in enumerate(zip(params.layers, params.activations)):
@@ -118,41 +125,16 @@ def _forward(params: EncoderParams, first: np.ndarray, gather, spread,
     return h, cache
 
 
-def _first_input(h: np.ndarray, params: EncoderParams, rows: int,
-                 given: np.ndarray | None, compute) -> np.ndarray:
-    """The first layer's m-row input: given, after a shape check, or
-    compute(h)."""
-    if h.shape[1] != params.layers[0].shape[0]:
-        raise ValueError(
-            f"input dim {h.shape[1]} != first layer dim {params.layers[0].shape[0]}")
-    if given is None:
-        return compute(h)
-    if given.shape != (rows, h.shape[1]):
-        raise ValueError(f"first-layer input has shape {given.shape}, "
-                         f"expected {(rows, h.shape[1])}")
-    return given
+def conv_forward_samples(g: AnchorGraph, p0: np.ndarray, params: EncoderParams,
+                         keep_cache: bool = True):
+    """Embed the n samples from p0 = g.pool(x). Returns (z, cache); cache is
+    None in inference mode (keep_cache=False)."""
+    return _forward(g, params, p0, g.pool, g.b_dot, keep_cache)
 
 
-def conv_forward_samples(g: AnchorGraph, x: np.ndarray, params: EncoderParams,
-                         keep_cache: bool = True,
-                         pooled_x: np.ndarray | None = None):
-    """Embed the n samples. Returns (z, cache); cache is None in inference
-    mode (keep_cache=False). pooled_x, if given, must be g.pool(x) (m x d);
-    it is used (and cached) as is, uncopied."""
-    if g.n != x.shape[0]:
-        raise ValueError(f"graph has {g.n} rows but x has {x.shape[0]}")
-    first = _first_input(x, params, g.m, pooled_x, g.pool)
-    return _forward(params, first, g.pool, g.b_dot, keep_cache)
-
-
-def conv_forward_anchors(g: AnchorGraph, c: np.ndarray, params: EncoderParams,
-                         keep_cache: bool = True,
-                         aggregated_c: np.ndarray | None = None):
-    """Embed the m anchors through the shared weights with the anchor-side
-    graph. Returns (z_t, cache). aggregated_c, if given, must be
-    apply_anchor_adjacency(g, c); it is used (and cached) as is, uncopied."""
-    if g.m != c.shape[0]:
-        raise ValueError(f"graph has {g.m} anchors but c has {c.shape[0]}")
-    aggregate = partial(apply_anchor_adjacency, g)
-    first = _first_input(c, params, g.m, aggregated_c, aggregate)
-    return _forward(params, first, aggregate, lambda s: s, keep_cache)
+def conv_forward_anchors(g: AnchorGraph, a0: np.ndarray, params: EncoderParams,
+                         keep_cache: bool = True):
+    """Embed the m anchors from a0 = apply_anchor_adjacency(g, c) through the
+    shared weights with the anchor-side graph. Returns (z_t, cache)."""
+    return _forward(g, params, a0, partial(apply_anchor_adjacency, g),
+                    lambda s: s, keep_cache)

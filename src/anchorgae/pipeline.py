@@ -187,13 +187,10 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     the k nearest anchors. outer_epochs=0 degenerates to the initial graph
     plus a single training round.
 
-    The first-layer inputs of both branches depend only on the graph, so
-    they are formed once per graph fit and shared by that round's training
-    epochs and embeddings. The sample side's is x pooled onto the anchors,
-    g.pool(x), and that is bit for bit the anchor input c_input: the fit's
-    last anchor update and the pullback both compute g.pool(x) on the final
-    rows. So it costs nothing; only the anchor side's aggregation is
-    computed.
+    Each graph gets one pair of first-layer inputs, shared by its training
+    epochs and embeddings: p0 = g.pool(x) is the anchor input that the
+    fit's last anchor update or the pullback already computed, bit for bit,
+    and a0 = apply_anchor_adjacency(g, p0) is the one product formed here.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -212,7 +209,7 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     g = _stage("initial graph fit", lambda: fit_anchor_graph(
         x, anchors0, ConnectivitySolveConfig(k, config.fit_max_iters),
         uniform_rows=uniform_rows))
-    c_input = g.anchors
+    p0 = g.anchors
 
     params = init_params([x.shape[1], *config.hidden_dims], rng_params)
 
@@ -220,11 +217,9 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     loss_traces: list[np.ndarray] = []
     iteration_graphs: list[AnchorGraph] = []
 
-    def embed(graph: AnchorGraph, c: np.ndarray, ac: np.ndarray):
-        z, _ = conv_forward_samples(graph, x, params, keep_cache=False,
-                                    pooled_x=c)
-        z_t, _ = conv_forward_anchors(graph, c, params, keep_cache=False,
-                                      aggregated_c=ac)
+    def embed():
+        z, _ = conv_forward_samples(g, p0, params, keep_cache=False)
+        z_t, _ = conv_forward_anchors(g, a0, params, keep_cache=False)
         return z, z_t
 
     def snapshot(iteration: int, graph: AnchorGraph, z, z_t) -> None:
@@ -234,13 +229,12 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
         if record_graphs:
             iteration_graphs.append(graph)
 
-    ac = apply_anchor_adjacency(g, c_input)
+    a0 = apply_anchor_adjacency(g, p0)
     for t in range(config.outer_epochs):
         _, trace = _stage(f"outer iteration {t}, training",
-                          lambda: train(g, x, c_input, params, train_cfg,
-                                        (c_input, ac)))
+                          lambda: train(g, p0, a0, params, train_cfg))
         loss_traces.append(trace)
-        z, z_t = embed(g, c_input, ac)
+        z, z_t = embed()
         snapshot(t, g, z, z_t)
 
         if config.mode != "fixed_b":
@@ -249,18 +243,17 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                            z, z_t,
                            ConnectivitySolveConfig(k, config.fit_max_iters),
                            uniform_rows=uniform_rows))
-            c_input = pullback_anchors(x, g)
-            ac = apply_anchor_adjacency(g, c_input)
+            p0 = pullback_anchors(x, g)
+            a0 = apply_anchor_adjacency(g, p0)
         if config.mode != "fixed_k":
             k = step_sparsity(schedule, k)
 
     if config.outer_epochs == 0:
-        _, trace = _stage("training", lambda: train(g, x, c_input, params,
-                                                    train_cfg,
-                                                    (c_input, ac)))
+        _, trace = _stage("training",
+                          lambda: train(g, p0, a0, params, train_cfg))
         loss_traces.append(trace)
 
-    z, z_t = embed(g, c_input, ac)
+    z, z_t = embed()
     snapshot(config.outer_epochs, g, z, z_t)
 
     return RunResult(z=z, graph=g, diagnostics=diagnostics,

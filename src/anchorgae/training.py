@@ -25,7 +25,6 @@ from .anchor_graph import AnchorGraph
 from .convolution import (
     EncoderParams,
     ForwardCache,
-    apply_anchor_adjacency,
     apply_anchor_adjacency_t,
     conv_forward_anchors,
     conv_forward_samples,
@@ -178,28 +177,23 @@ def backward(g: AnchorGraph, sample_cache: ForwardCache,
     return [gs + ga for gs, ga in zip(grads_s, grads_a)], q_sup
 
 
-def train(g: AnchorGraph, x: np.ndarray, c: np.ndarray, params: EncoderParams,
-          cfg: TrainConfig,
-          first_inputs: tuple[np.ndarray, np.ndarray] | None = None,
+def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
+          params: EncoderParams, cfg: TrainConfig
           ) -> tuple[EncoderParams, np.ndarray]:
     """Run cfg.inner_epochs full-batch steps on the siamese encoder.
 
     Updates params in place and returns (params, per-epoch loss trace).
     Aborts with TrainingDiverged naming the epoch if the loss leaves the
-    finite range. first_inputs is the first-layer pair, both m x d:
-    (g.pool(x), apply_anchor_adjacency(g, c)); g, x and c do not change
-    between epochs, so it is computed once, here if the caller does not
-    pass it.
+    finite range. p0 = g.pool(x) and a0 = apply_anchor_adjacency(g, c) are
+    the first-layer inputs of the two branches, both m x d; they do not
+    change between epochs.
     """
-    if first_inputs is None:
-        first_inputs = (g.pool(x), apply_anchor_adjacency(g, c))
-    px, ac = first_inputs
     trace = np.empty(cfg.inner_epochs)
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(cfg.inner_epochs):
-        _, cache_s = conv_forward_samples(g, x, params, pooled_x=px)
-        _, cache_a = conv_forward_anchors(g, c, params, aggregated_c=ac)
+        _, cache_s = conv_forward_samples(g, p0, params)
+        _, cache_a = conv_forward_anchors(g, a0, params)
         grads, q_sup = backward(g, cache_s, cache_a, params)
         value = loss(g, q_sup)
         if not np.isfinite(value):

@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loops, dense matrices, brute force)
-and shares no code with the production paths it checks, with three
-exceptions: random_bench_graph only builds inputs, peak_bytes only
-measures, and solve_connectivity_row is the production row solve seen one
-dense row at a time, for the tests that state the closed form row by row.
+and shares no code with the production paths it checks, with four
+exceptions: random_bench_graph and first_layer_inputs only build inputs,
+peak_bytes only measures, and solve_connectivity_row is the production row
+solve seen one dense row at a time, for the tests that state the closed
+form row by row.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 
 from anchorgae.anchor_graph import AnchorGraph, _solve_rows
-from anchorgae.convolution import EncoderParams
+from anchorgae.convolution import EncoderParams, apply_anchor_adjacency
 
 
 def peak_bytes(fn):
@@ -167,6 +168,12 @@ def random_bench_graph(n, m, k, rng):
     w = rng.random((n, k)) + 0.1
     w /= w.sum(axis=1, keepdims=True)
     return AnchorGraph(idx, w, np.zeros((m, 1)), m)
+
+
+def first_layer_inputs(g, x, c):
+    """The encoder's first-layer inputs for raw samples x and anchors c,
+    both m x d: (g.pool(x), apply_anchor_adjacency(g, c))."""
+    return g.pool(x), apply_anchor_adjacency(g, c)
 
 
 def factored_anchor_adjacency(g, h):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -245,10 +246,20 @@ def test_console_entry_point_smoke(tmp_path):
     assert out.stderr
 
 
-def test_thread_cap_env_applies(tmp_path, monkeypatch):
-    monkeypatch.setenv("ANCHORGAE_THREADS", "1")
+def test_thread_cap_env_applies(tmp_path, monkeypatch, capsys):
     pred = tmp_path / "p.csv"
     save_labels_csv(pred, [0, 1])
-    assert main(["eval", "--pred", str(pred), "--truth", str(pred)]) == 0
-    monkeypatch.setenv("ANCHORGAE_THREADS", "zebra")
-    assert main(["eval", "--pred", str(pred), "--truth", str(pred)]) == 1
+    args = ["eval", "--pred", str(pred), "--truth", str(pred)]
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for var in pools:
+        monkeypatch.delenv(var, raising=False)
+    for bad in ("0", "-1", "zebra"):
+        monkeypatch.setenv("ANCHORGAE_THREADS", bad)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "ANCHORGAE_THREADS" in err and ">= 1" in err
+        # Rejected before any pool size is set.
+        assert not any(var in os.environ for var in pools)
+    monkeypatch.setenv("ANCHORGAE_THREADS", "1")
+    assert main(args) == 0

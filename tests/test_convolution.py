@@ -19,6 +19,7 @@ from oracles import (
     encoder_dims,
     factored_anchor_adjacency,
     factored_anchor_adjacency_t,
+    first_layer_inputs,
 )
 
 
@@ -85,7 +86,8 @@ def test_identity_graph_single_linear_layer_is_xw():
     rng = make_rng(3)
     x = rng.normal(size=(6, 4))
     params = init_params([4, 2], rng)
-    z, cache = conv_forward_samples(identity_graph(6), x, params)
+    g = identity_graph(6)
+    z, cache = conv_forward_samples(g, g.pool(x), params)
     assert np.max(np.abs(z - x @ params.layers[0])) < 1e-12
     assert len(cache.inputs) == 1 and len(cache.pre_activation) == 1
 
@@ -99,8 +101,9 @@ def test_factored_matches_dense_oracle_both_branches():
         c = rng.normal(size=(m, 5))
         params = init_params([5, 6, 3], rng)
         _, a, a_t = dense_adjacencies(g.indices, g.weights, g.m)
-        z, _ = conv_forward_samples(g, x, params)
-        z_t, _ = conv_forward_anchors(g, c, params)
+        p0, a0 = first_layer_inputs(g, x, c)
+        z, _ = conv_forward_samples(g, p0, params)
+        z_t, _ = conv_forward_anchors(g, a0, params)
         assert np.max(np.abs(z - dense_gcn_forward(a, x, params))) < 1e-8
         assert np.max(np.abs(z_t - dense_gcn_forward(a_t, c, params))) < 1e-8
 
@@ -131,14 +134,14 @@ def test_given_first_layer_aggregate_is_used_uncopied():
     x = rng.normal(size=(30, 4))
     c = rng.normal(size=(6, 4))
     params = init_params([4, 5, 3], rng)
-    px, ac = g.pool(x), apply_anchor_adjacency(g, c)
-    z, cache_s = conv_forward_samples(g, x, params, pooled_x=px)
-    z_t, cache_a = conv_forward_anchors(g, c, params, aggregated_c=ac)
-    assert cache_s.inputs[0] is px and cache_a.inputs[0] is ac
-    assert np.array_equal(z, conv_forward_samples(g, x, params)[0])
-    assert np.array_equal(z_t, conv_forward_anchors(g, c, params)[0])
+    p0, a0 = g.pool(x), apply_anchor_adjacency(g, c)
+    z, cache_s = conv_forward_samples(g, p0, params)
+    z_t, cache_a = conv_forward_anchors(g, a0, params)
+    assert cache_s.inputs[0] is p0 and cache_a.inputs[0] is a0
     ref_z, _, _ = aggregated_forward(g, x, params, apply_sample_adjacency)
+    ref_zt, _, _ = aggregated_forward(g, c, params, factored_anchor_adjacency)
     assert np.max(np.abs(z - ref_z)) < 1e-12
+    assert np.max(np.abs(z_t - ref_zt)) < 1e-12
 
 
 def test_sample_layers_match_aggregate_then_multiply_oracle():
@@ -148,7 +151,7 @@ def test_sample_layers_match_aggregate_then_multiply_oracle():
         g = random_graph(n, m, k, rng)
         x = rng.normal(size=(n, dims[0]))
         params = init_params(dims, rng)
-        z, cache = conv_forward_samples(g, x, params)
+        z, cache = conv_forward_samples(g, g.pool(x), params)
         ref_z, aggregates, pre = aggregated_forward(g, x, params,
                                                     apply_sample_adjacency)
         assert np.max(np.abs(z - ref_z)) < 1e-12
@@ -167,7 +170,8 @@ def test_relu_kills_all_negative_preactivations():
     w1 = np.abs(rng.normal(size=(3, 4)))  # positive weights => negative preact
     w2 = rng.normal(size=(4, 2))
     params = EncoderParams([w1, w2], ["relu", "linear"])
-    z, cache = conv_forward_samples(identity_graph(5), x, params)
+    g = identity_graph(5)
+    z, cache = conv_forward_samples(g, g.pool(x), params)
     assert np.array_equal(z, np.zeros((5, 2)))
     assert (cache.pre_activation[0] <= 0).all()
 
@@ -178,8 +182,9 @@ def test_siamese_identity_square_graph():
     g = identity_graph(n)
     x = rng.normal(size=(n, 3))
     params = init_params([3, 4, 2], rng)
-    z, _ = conv_forward_samples(g, x, params)
-    z_t, _ = conv_forward_anchors(g, x, params)
+    p0, a0 = first_layer_inputs(g, x, x)
+    z, _ = conv_forward_samples(g, p0, params)
+    z_t, _ = conv_forward_anchors(g, a0, params)
     assert np.max(np.abs(z - z_t)) < 1e-12
 
 
@@ -189,7 +194,7 @@ def test_row_stochastic_smoothing_convex_combination():
     g = random_graph(n, m, k, rng)
     x = rng.normal(size=(n, d))
     params = EncoderParams([np.eye(d)], ["linear"])
-    z, _ = conv_forward_samples(g, x, params)
+    z, _ = conv_forward_samples(g, g.pool(x), params)
     for col in range(d):
         assert z[:, col].min() >= x[:, col].min() - 1e-12
         assert z[:, col].max() <= x[:, col].max() + 1e-12
@@ -200,7 +205,7 @@ def test_inference_mode_drops_cache():
     g = random_graph(10, 4, 2, rng)
     x = rng.normal(size=(10, 3))
     params = init_params([3, 2], rng)
-    z, cache = conv_forward_samples(g, x, params, keep_cache=False)
+    z, cache = conv_forward_samples(g, g.pool(x), params, keep_cache=False)
     assert cache is None
     assert z.shape == (10, 2)
 
@@ -209,16 +214,16 @@ def test_dimension_mismatch_errors():
     rng = make_rng(10)
     g = random_graph(10, 4, 2, rng)
     params = init_params([3, 2], rng)
-    with pytest.raises(ValueError, match="input dim"):
-        conv_forward_samples(g, rng.normal(size=(10, 5)), params)
-    with pytest.raises(ValueError, match="graph has"):
-        conv_forward_samples(g, rng.normal(size=(9, 3)), params)
-    with pytest.raises(ValueError, match="graph has"):
-        conv_forward_anchors(g, rng.normal(size=(5, 3)), params)
+    expected = r"first-layer input has shape \(.*\), expected \(4, 3\)"
+    # A first-layer input of the wrong width, on either branch.
+    with pytest.raises(ValueError, match=expected):
+        conv_forward_samples(g, g.pool(rng.normal(size=(10, 5))), params)
+    with pytest.raises(ValueError, match=expected):
+        conv_forward_anchors(g, rng.normal(size=(4, 2)), params)
+    # Raw n-row samples, or raw anchors of another count, where the m-row
+    # first-layer input belongs.
     x = rng.normal(size=(10, 3))
-    with pytest.raises(ValueError, match="first-layer input"):
-        conv_forward_samples(g, x, params, pooled_x=x[:, :2])
-    with pytest.raises(ValueError, match="first-layer input"):
-        conv_forward_samples(g, x, params, pooled_x=x)
-    with pytest.raises(ValueError, match="first-layer input"):
-        conv_forward_anchors(g, x[:4], params, aggregated_c=x[:3])
+    with pytest.raises(ValueError, match=expected):
+        conv_forward_samples(g, x, params)
+    with pytest.raises(ValueError, match=expected):
+        conv_forward_anchors(g, rng.normal(size=(5, 3)), params)

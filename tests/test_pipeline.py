@@ -329,36 +329,40 @@ def test_layer0_aggregated_once_per_graph_not_per_epoch(monkeypatch, mode,
 
 @pytest.mark.parametrize("mode", pipeline.MODES)
 def test_sample_side_first_input_is_the_anchor_input(monkeypatch, mode):
-    """Every sample-side forward pass of a run gets x pooled onto its graph
-    as its first-layer input, and that is the anchor input c, bit for bit."""
+    """Every forward pass of a run gets its first-layer input from x pooled
+    onto its graph, bit for bit: p0 = g.pool(x), the anchor input that the
+    fit or the pullback made, on the sample side, and a0 = g.pool(x)
+    aggregated by the anchor-side adjacency on the anchor side."""
     from anchorgae import training
 
     x, _ = scaled_blobs(n=200, d=7, seed=1)
-    checked = []
+    checked = {"samples": set(), "anchors": set()}
 
-    def checking(g, x_in, params, keep_cache=True, pooled_x=None,
+    def checking(g, p0, params, keep_cache=True,
                  _orig=pipeline.conv_forward_samples):
-        assert pooled_x is not None
-        assert np.array_equal(pooled_x, g.pool(x_in))
-        checked.append(g)
-        return _orig(g, x_in, params, keep_cache, pooled_x)
+        assert np.array_equal(p0, g.pool(x))
+        checked["samples"].add(id(g))
+        return _orig(g, p0, params, keep_cache)
 
-    def checking_anchors(g, c, params, keep_cache=True, aggregated_c=None,
+    def checking_anchors(g, a0, params, keep_cache=True,
                          _orig=pipeline.conv_forward_anchors):
-        assert np.array_equal(c, g.pool(x))
-        return _orig(g, c, params, keep_cache, aggregated_c)
+        assert np.array_equal(a0, g.anchor_adjacency() @ g.pool(x))
+        checked["anchors"].add(id(g))
+        return _orig(g, a0, params, keep_cache)
 
     for mod in (pipeline, training):
         monkeypatch.setattr(mod, "conv_forward_samples", checking)
         monkeypatch.setattr(mod, "conv_forward_anchors", checking_anchors)
     for seed in range(3):
-        checked.clear()
+        for ids in checked.values():
+            ids.clear()
         run_anchorgae(x, quick_config(anchors=20, hidden_dims=(6, 4),
                                       outer_epochs=3, inner_epochs=2,
                                       mode=mode, seed=seed))
-        # Each of the four round graphs is checked (one in fixed_b).
-        assert len({id(g) for g in checked}) == (1 if mode == "fixed_b"
-                                                 else 4)
+        # Each of the four round graphs is checked on both sides (one in
+        # fixed_b).
+        graphs = 1 if mode == "fixed_b" else 4
+        assert [len(ids) for ids in checked.values()] == [graphs, graphs]
 
 
 def test_fixed_k_uniformity_trend_once_well_trained():

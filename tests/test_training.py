@@ -12,6 +12,7 @@ from anchorgae.anchor_graph import (
 )
 from anchorgae.convolution import (
     EncoderParams,
+    apply_anchor_adjacency,
     conv_forward_anchors,
     conv_forward_samples,
     init_params,
@@ -37,6 +38,7 @@ from oracles import (
     copy_params,
     entropy,
     factored_anchor_adjacency,
+    first_layer_inputs,
     numerical_grads,
     on_support,
     peak_bytes,
@@ -167,8 +169,9 @@ def sample_branch_grads(g, cache, params, grad_z):
 def test_backward_zero_at_exact_reconstruction(monkeypatch):
     rng = make_rng(53)
     g, x, c, params = random_instance(rng)
-    _, cache_s = conv_forward_samples(g, x, params)
-    _, cache_a = conv_forward_anchors(g, c, params)
+    p0, a0 = first_layer_inputs(g, x, c)
+    _, cache_s = conv_forward_samples(g, p0, params)
+    _, cache_a = conv_forward_anchors(g, a0, params)
     q = g.csr().toarray()  # q identical to p => residual vanishes
     blocks = row_blocks(g.n, g.m)
     monkeypatch.setattr(training, "decode",
@@ -182,13 +185,14 @@ def test_backward_matches_central_differences():
     rng = make_rng(54)
     for trial in range(3):
         g, x, c, params = random_instance(rng)
-        _, cache_s = conv_forward_samples(g, x, params)
-        _, cache_a = conv_forward_anchors(g, c, params)
+        p0, a0 = first_layer_inputs(g, x, c)
+        _, cache_s = conv_forward_samples(g, p0, params)
+        _, cache_a = conv_forward_anchors(g, a0, params)
         grads, _ = backward(g, cache_s, cache_a, params)
 
         def value():
-            z2, _ = conv_forward_samples(g, x, params, keep_cache=False)
-            zt2, _ = conv_forward_anchors(g, c, params, keep_cache=False)
+            z2, _ = conv_forward_samples(g, p0, params, keep_cache=False)
+            zt2, _ = conv_forward_anchors(g, a0, params, keep_cache=False)
             return loss(g, on_support(g, decode(z2, zt2)))
 
         refs = numerical_grads(value, params)
@@ -200,7 +204,8 @@ def test_backward_matches_central_differences():
 def test_branch_backprop_linear_in_upstream():
     rng = make_rng(55)
     g, x, c, params = random_instance(rng)
-    _, cache_s = conv_forward_samples(g, x, params)
+    p0, a0 = first_layer_inputs(g, x, c)
+    _, cache_s = conv_forward_samples(g, p0, params)
     upstream = rng.normal(size=cache_s.out.shape)
     g1 = sample_branch_grads(g, cache_s, params, upstream)
     g2 = sample_branch_grads(g, cache_s, params, 3.0 * upstream)
@@ -213,8 +218,9 @@ def test_branch_backprop_linear_in_upstream():
 def test_backward_sums_both_siamese_branches():
     rng = make_rng(56)
     g, x, c, params = random_instance(rng)
-    z, cache_s = conv_forward_samples(g, x, params)
-    z_t, cache_a = conv_forward_anchors(g, c, params)
+    p0, a0 = first_layer_inputs(g, x, c)
+    z, cache_s = conv_forward_samples(g, p0, params)
+    z_t, cache_a = conv_forward_anchors(g, a0, params)
     q = decode(z, z_t)
     total, _ = backward(g, cache_s, cache_a, params)
 
@@ -233,8 +239,9 @@ def test_backward_sums_both_siamese_branches():
 def test_backward_rejects_stale_cache():
     rng = make_rng(57)
     g, x, c, params = random_instance(rng)
-    _, cache_s = conv_forward_samples(g, x, params)
-    _, cache_a = conv_forward_anchors(g, c, params)
+    p0, a0 = first_layer_inputs(g, x, c)
+    _, cache_s = conv_forward_samples(g, p0, params)
+    _, cache_a = conv_forward_anchors(g, a0, params)
     bigger = init_params([5, 4, 3, 3], make_rng(58))
     with pytest.raises(ValueError, match="cache"):
         backward(g, cache_s, cache_a, bigger)
@@ -270,8 +277,9 @@ def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
     assert np.array_equal(np.concatenate([np.arange(g.n)[b] for b in blocks]),
                           np.arange(g.n))
 
-    z, cache_s = conv_forward_samples(g, x, params)
-    z_t, cache_a = conv_forward_anchors(g, c, params)
+    p0, a0 = first_layer_inputs(g, x, c)
+    z, cache_s = conv_forward_samples(g, p0, params)
+    z_t, cache_a = conv_forward_anchors(g, a0, params)
     grad_z, grad_zt, q_sup = _decoder_grads(g, z, z_t)
     ref_z, ref_zt, ref_q = whole_matrix_decoder_grads(g, z, z_t)
     assert_close(grad_z, ref_z)
@@ -323,9 +331,10 @@ def test_train_nan_embeddings_raise_diverged(monkeypatch):
     monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 1)
     rng = make_rng(68)
     g, x, c, params = random_instance(rng)
+    p0, a0 = first_layer_inputs(g, x, c)
     params.layers[0][0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="epoch 0"):
-        train(g, x, c, params, TrainConfig(inner_epochs=3))
+        train(g, p0, a0, params, TrainConfig(inner_epochs=3))
 
 
 def test_blocked_pass_holds_no_sample_by_anchor_array():
@@ -339,14 +348,15 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
     x = rng.normal(size=(n, 4))
     c = rng.normal(size=(m, 4))
     params = init_params([4, 3, 2], rng)
-    z, cache_s = conv_forward_samples(g, x, params)
-    z_t, cache_a = conv_forward_anchors(g, c, params)
+    p0, a0 = first_layer_inputs(g, x, c)
+    z, cache_s = conv_forward_samples(g, p0, params)
+    z_t, cache_a = conv_forward_anchors(g, a0, params)
     n_by_m_bytes = n * m * 8
 
     assert peak_bytes(lambda: backward(g, cache_s, cache_a, params)) \
         < n_by_m_bytes
     assert peak_bytes(lambda: decode_on_support(g, z, z_t)) < n_by_m_bytes
-    assert peak_bytes(lambda: train(g, x, c, params,
+    assert peak_bytes(lambda: train(g, *first_layer_inputs(g, x, c), params,
                                     TrainConfig(inner_epochs=2))) \
         < n_by_m_bytes
 
@@ -377,7 +387,8 @@ def test_train_calls_loss_once_per_epoch(monkeypatch):
     monkeypatch.setattr(training, "loss", counting_loss)
     rng = make_rng(70)
     g, x, c, params = random_instance(rng)
-    train(g, x, c, params, TrainConfig(inner_epochs=4))
+    p0, a0 = first_layer_inputs(g, x, c)
+    train(g, p0, a0, params, TrainConfig(inner_epochs=4))
     assert calls == [(g.n, g.k)] * 4
 
 
@@ -386,10 +397,11 @@ def test_train_calls_loss_once_per_epoch(monkeypatch):
 def test_train_zero_learning_rate_is_noop():
     rng = make_rng(59)
     g, x, c, params = random_instance(rng)
+    p0, a0 = first_layer_inputs(g, x, c)
     before = [w.copy() for w in params.layers]
-    _, trace = train(g, x, c, params, TrainConfig(inner_epochs=5,
-                                                  learning_rate=0.0,
-                                                  optimizer="gd"))
+    _, trace = train(g, p0, a0, params, TrainConfig(inner_epochs=5,
+                                                    learning_rate=0.0,
+                                                    optimizer="gd"))
     for w, orig in zip(params.layers, before):
         assert np.array_equal(w, orig)
     assert np.allclose(trace, trace[0])
@@ -398,9 +410,10 @@ def test_train_zero_learning_rate_is_noop():
 def test_train_gd_descends_on_smooth_instance():
     rng = make_rng(60)
     g, x, c, params = random_instance(rng, n=20, m=5, k=2)
-    _, trace = train(g, x, c, params, TrainConfig(inner_epochs=40,
-                                                  learning_rate=1e-3,
-                                                  optimizer="gd"))
+    p0, a0 = first_layer_inputs(g, x, c)
+    _, trace = train(g, p0, a0, params, TrainConfig(inner_epochs=40,
+                                                    learning_rate=1e-3,
+                                                    optimizer="gd"))
     assert trace[-1] < trace[0]
     head = trace[:10]
     assert all(b <= a + 1e-9 for a, b in zip(head, head[1:]))
@@ -409,7 +422,8 @@ def test_train_gd_descends_on_smooth_instance():
 def test_train_adam_reduces_loss():
     rng = make_rng(61)
     g, x, c, params = random_instance(rng, n=25, m=6, k=2)
-    _, trace = train(g, x, c, params, TrainConfig(inner_epochs=60))
+    p0, a0 = first_layer_inputs(g, x, c)
+    _, trace = train(g, p0, a0, params, TrainConfig(inner_epochs=60))
     assert trace[-1] < trace[0]
     assert (trace >= 0).all() and np.isfinite(trace).all()
 
@@ -418,7 +432,8 @@ def test_train_deterministic_given_seed():
     def one_run():
         rng = make_rng(62)
         g, x, c, params = random_instance(rng)
-        _, trace = train(g, x, c, params, TrainConfig(inner_epochs=15))
+        p0, a0 = first_layer_inputs(g, x, c)
+        _, trace = train(g, p0, a0, params, TrainConfig(inner_epochs=15))
         return trace, [w.copy() for w in params.layers]
 
     t1, w1 = one_run()
@@ -431,11 +446,12 @@ def test_train_deterministic_given_seed():
 def test_train_aborts_on_divergence_naming_epoch():
     rng = make_rng(63)
     g, x, c, params = random_instance(rng, dims=(5, 3))
+    p0, a0 = first_layer_inputs(g, x, c)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged, match="epoch"):
-            train(g, x, c, params, TrainConfig(inner_epochs=50,
-                                               learning_rate=1e160,
-                                               optimizer="gd"))
+            train(g, p0, a0, params, TrainConfig(inner_epochs=50,
+                                                 learning_rate=1e160,
+                                                 optimizer="gd"))
 
 
 def reaggregating_train(g, x, c, params, cfg):
@@ -464,13 +480,12 @@ def reaggregating_train(g, x, c, params, cfg):
 
 
 def test_train_hoisted_aggregates_match_reaggregating_loop():
-    from anchorgae.convolution import apply_anchor_adjacency
     rng = make_rng(65)
     g, x, c, params = random_instance(rng, n=30, m=6, k=3)
+    p0, a0 = first_layer_inputs(g, x, c)
     ref_params = copy_params(params)
     cfg = TrainConfig(inner_epochs=3, learning_rate=1e-2)
-    first_inputs = (g.pool(x), apply_anchor_adjacency(g, c))
-    _, trace = train(g, x, c, params, cfg, first_inputs)
+    _, trace = train(g, p0, a0, params, cfg)
     ref_trace = reaggregating_train(g, x, c, ref_params, cfg)
     assert np.max(np.abs(trace - ref_trace)) < 1e-10
     for w, ref in zip(params.layers, ref_params.layers):
@@ -478,8 +493,9 @@ def test_train_hoisted_aggregates_match_reaggregating_loop():
 
 
 def test_train_allocates_no_sample_by_input_array():
-    # The sample side pools x onto the anchors before any dense product,
-    # so no n x d_0 array (25 MB here) is formed, in the cache or anywhere.
+    # x is pooled onto the anchors, inside the measured call, before any
+    # dense product, so no n x d_0 array (25 MB here) is formed, in the
+    # cache or anywhere.
     # The hidden layers are narrow, so that all the n x d_l arrays live at
     # once stay well below one n x d_0 array.
     n, m, d = 4000, 200, 784
@@ -488,8 +504,8 @@ def test_train_allocates_no_sample_by_input_array():
     x = rng.random((n, d))
     c = rng.random((m, d))
     params = init_params([d, 32, 16], rng)
-    assert peak_bytes(lambda: train(g, x, c, params,
-                                    TrainConfig(inner_epochs=2))) \
+    assert peak_bytes(lambda: train(g, g.pool(x), apply_anchor_adjacency(g, c),
+                                    params, TrainConfig(inner_epochs=2))) \
         < n * d * 8
 
 
