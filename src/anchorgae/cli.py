@@ -209,13 +209,11 @@ def cmd_fit(args) -> int:
         report.save_report(args.report, report.build_report(
             _config_echo(args), result, acc_val, nmi_val, runtime))
     if args.labels_out:
-        tmp = args.labels_out + ".tmp"
-        data_io.save_labels_csv(tmp, assignment.labels)
-        os.replace(tmp, args.labels_out)
+        report.atomic_write(args.labels_out, lambda tmp:
+                            data_io.save_labels_csv(tmp, assignment.labels))
     if args.embedding_out:
-        tmp = args.embedding_out + ".tmp"
-        data_io.save_matrix_csv(tmp, result.z)
-        os.replace(tmp, args.embedding_out)
+        report.atomic_write(args.embedding_out, lambda tmp:
+                            data_io.save_matrix_csv(tmp, result.z))
 
     shown_acc = "n/a" if acc_val is None else f"{acc_val:.4f}"
     shown_nmi = "n/a" if nmi_val is None else f"{nmi_val:.4f}"
@@ -262,11 +260,9 @@ def cmd_collapse_demo(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import json
-
     from . import metrics
     from .data_io import load_labels_csv
-    from .report import atomic_write_text
+    from .report import save_report
 
     start = time.perf_counter()
     pred = load_labels_csv(args.pred)
@@ -274,8 +270,7 @@ def cmd_eval(args) -> int:
     result = {"acc": metrics.acc(pred, truth), "nmi": metrics.nmi(pred, truth),
               "runtime_seconds": time.perf_counter() - start}
     if args.report:
-        atomic_write_text(args.report,
-                          json.dumps(result, indent=2, sort_keys=True) + "\n")
+        save_report(args.report, result)
     print(f"eval: acc={result['acc']:.4f} nmi={result['nmi']:.4f}")
     return 0
 
@@ -290,13 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"anchorgae: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"anchorgae: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"anchorgae: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, MemoryError, OSError) as exc:

@@ -26,26 +26,18 @@ from .anchor_graph import AnchorGraph
 
 @dataclass
 class EncoderParams:
-    """Shared encoder weights: one matrix per layer plus activation tags
-    ('relu' for hidden layers, 'linear' for the last)."""
+    """Shared encoder weights, one matrix per layer. Every layer but the
+    last is followed by a ReLU; the last is linear."""
 
     layers: list[np.ndarray]
-    activations: list[str]
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("encoder needs at least one layer")
-        if len(self.layers) != len(self.activations):
-            raise ValueError("one activation tag per layer is required")
         for w_in, w_out in zip(self.layers, self.layers[1:]):
             if w_in.shape[1] != w_out.shape[0]:
                 raise ValueError(
                     f"layer dims do not chain: {w_in.shape} then {w_out.shape}")
-        for tag in self.activations:
-            if tag not in ("relu", "linear"):
-                raise ValueError(f"unknown activation {tag!r}")
-        if self.activations[-1] != "linear":
-            raise ValueError("last layer must be linear")
 
 
 @dataclass
@@ -61,20 +53,14 @@ class ForwardCache:
 
 
 def init_params(layer_dims: list[int], rng: np.random.Generator) -> EncoderParams:
-    """Glorot-uniform weights for the given dimension chain; hidden layers
-    relu, final layer linear."""
+    """Glorot-uniform weights for the given dimension chain."""
     if len(layer_dims) < 2:
         raise ValueError("layer_dims needs an input dim and one output dim")
     layers = []
     for d_in, d_out in zip(layer_dims, layer_dims[1:]):
         bound = np.sqrt(6.0 / (d_in + d_out))
         layers.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
-    acts = ["relu"] * (len(layers) - 1) + ["linear"]
-    return EncoderParams(layers, acts)
-
-
-def _activate(s: np.ndarray, tag: str) -> np.ndarray:
-    return np.maximum(s, 0.0) if tag == "relu" else s
+    return EncoderParams(layers)
 
 
 def apply_anchor_adjacency(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
@@ -104,7 +90,8 @@ def apply_anchor_adjacency_t(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
 def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
              gather, spread, keep_cache: bool
              ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Layer l computes s_l = spread(gather(h_l) @ W_l); first is
+    """Layer l computes s_l = spread(gather(h_l) @ W_l) and h_{l+1} =
+    relu(s_l), except the last, whose output is s_l itself; first is
     gather(h_0), m x d_in, formed by the caller and used (and cached) as
     is, uncopied."""
     expected = (g.m, params.layers[0].shape[0])
@@ -113,11 +100,12 @@ def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
                          f"expected {expected}")
     inputs, pre = [], []
     m_l = first
-    for l, (w, tag) in enumerate(zip(params.layers, params.activations)):
+    last = len(params.layers) - 1
+    for l, w in enumerate(params.layers):
         if l:
             m_l = gather(h)
         s_l = spread(m_l @ w)
-        h = _activate(s_l, tag)
+        h = s_l if l == last else np.maximum(s_l, 0.0)
         if keep_cache:
             inputs.append(m_l)
             pre.append(s_l)

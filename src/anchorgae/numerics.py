@@ -55,11 +55,10 @@ def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a (n x d) and b (m x d).
 
     Uses the norm expansion with a single BLAS product; catastrophic-
-    cancellation negatives are clamped to 0. When a and b are the same
-    array object the diagonal is exactly 0 by construction. The distances
-    are formed in the product's own buffer, one row block at a time, as
-    (sq_a + sq_b) - 2 * product with the norm sums in one reused block, so
-    one n x m array plus one block is allocated.
+    cancellation negatives are clamped to 0. The distances are formed in
+    the product's own buffer, one row block at a time, as (sq_a + sq_b) -
+    2 * product with the norm sums in one reused block, so one n x m array
+    plus one block is allocated.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -70,11 +69,8 @@ def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a @ b.T
     if d.size == 0:  # no first block at n = 0; row_blocks divides by m
         return d
-    if a is b:
-        sq_a = sq_b = np.diagonal(d).copy()
-    else:
-        sq_a = np.einsum("ij,ij->i", a, a)
-        sq_b = np.einsum("ij,ij->i", b, b)
+    sq_a = np.einsum("ij,ij->i", a, a)
+    sq_b = np.einsum("ij,ij->i", b, b)
     blocks = list(row_blocks(*d.shape))
     norms = np.empty((blocks[0].stop, d.shape[1]))
     for rows in blocks:

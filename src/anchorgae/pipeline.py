@@ -43,42 +43,19 @@ class PipelineStageError(RuntimeError):
     """A stage of the outer loop failed; the message names the stage."""
 
 
-@dataclass
-class SparsitySchedule:
-    """Sparsity growth plan: start at k0, add delta_k per outer iteration,
-    never exceed k_cap (= m - 1).
+def sparsity_increment(k0: int, m: int, n: int, n_s: int,
+                       outer_epochs: int) -> int:
+    """delta_k, the growth of the row sparsity k per outer iteration.
 
-    k_m is the anchor-count-scaled estimate of the smallest cluster size,
-    floor(m * n_s / n); delta_k spreads the climb from k0 to k_m over the
-    outer epochs.
+    k_m = min(floor(m * n_s / n), m - 1) is the anchor-count-scaled estimate
+    of the smallest cluster size; delta_k spreads the climb from k0 to k_m
+    over the outer epochs and is 0 when k_m <= k0. So k never passes
+    max(k0, k_m) <= m - 1, and every row solve keeps k < m.
     """
-
-    k0: int = 3
-    k_m: int = 3
-    delta_k: int = 0
-    outer_epochs: int = 5
-    n_s: int = 0
-    k_cap: int = 3
-
-    @classmethod
-    def plan(cls, k0: int, m: int, n: int, n_s: int, outer_epochs: int
-             ) -> "SparsitySchedule":
-        if k0 < 1:
-            raise ValueError(f"k0 must be >= 1, got {k0}")
-        if n_s < 1:
-            raise ValueError(f"n_s must be >= 1, got {n_s}")
-        k_cap = m - 1
-        k_m = min(max(int(m * n_s // n), k0), k_cap)
-        delta_k = (k_m - k0) // outer_epochs if outer_epochs > 0 else 0
-        return cls(k0=k0, k_m=k_m, delta_k=max(delta_k, 0),
-                   outer_epochs=outer_epochs, n_s=n_s, k_cap=k_cap)
-
-
-def step_sparsity(schedule: SparsitySchedule, current_k: int) -> int:
-    """Next sparsity level: one increment, capped so Eq-solvable (k < m)."""
-    if current_k < schedule.k0:
-        raise ValueError(f"current_k={current_k} below k0={schedule.k0}")
-    return min(current_k + schedule.delta_k, schedule.k_cap)
+    if outer_epochs == 0:
+        return 0
+    k_m = min(m * n_s // n, m - 1)
+    return max((k_m - k0) // outer_epochs, 0)
 
 
 @dataclass
@@ -148,6 +125,8 @@ class AnchorGaeConfig:
         if not 2 <= self.clusters <= self.anchors:
             raise ValueError(f"clusters must be between 2 and anchors="
                              f"{self.anchors}, got {self.clusters}")
+        if self.k0 < 1:
+            raise ValueError(f"k0 must be >= 1, got {self.k0}")
         if self.anchors <= self.k0:
             raise ValueError(
                 f"anchors={self.anchors} must exceed k0={self.k0}")
@@ -156,6 +135,10 @@ class AnchorGaeConfig:
         if not self.hidden_dims or min(self.hidden_dims) < 1:
             raise ValueError(f"hidden_dims must be one or more layer widths "
                              f">= 1, got {list(self.hidden_dims)}")
+        if self.n_s is not None and self.n_s < 1:
+            raise ValueError(f"n_s must be >= 1, got {self.n_s}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -164,8 +147,6 @@ class RunResult:
     graph: AnchorGraph
     diagnostics: list[CollapseEntry]
     loss_traces: list[np.ndarray]
-    schedule: SparsitySchedule
-    k_final: int
     iteration_graphs: list[AnchorGraph] = field(default_factory=list)
 
 
@@ -188,9 +169,8 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     plus a single training round.
 
     Each graph gets one pair of first-layer inputs, shared by its training
-    epochs and embeddings: p0 = g.pool(x) is the anchor input that the
-    fit's last anchor update or the pullback already computed, bit for bit,
-    and a0 = apply_anchor_adjacency(g, p0) is the one product formed here.
+    epochs and embeddings: p0 = pullback_anchors(x, g) = g.pool(x), the
+    graph's anchors in input space, and a0 = apply_anchor_adjacency(g, p0).
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -201,15 +181,15 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     uniform_rows = config.mode == "knn"
 
     n_s = config.n_s if config.n_s is not None else max(n // config.clusters, 1)
-    schedule = SparsitySchedule.plan(config.k0, config.anchors, n, n_s,
-                                     config.outer_epochs)
+    delta_k = 0 if config.mode == "fixed_k" else sparsity_increment(
+        config.k0, config.anchors, n, n_s, config.outer_epochs)
     k = config.k0
 
     anchors0 = init_anchors(x, config.anchors, rng_anchor)
     g = _stage("initial graph fit", lambda: fit_anchor_graph(
         x, anchors0, ConnectivitySolveConfig(k, config.fit_max_iters),
         uniform_rows=uniform_rows))
-    p0 = g.anchors
+    p0 = pullback_anchors(x, g)
 
     params = init_params([x.shape[1], *config.hidden_dims], rng_params)
 
@@ -245,8 +225,7 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                            uniform_rows=uniform_rows))
             p0 = pullback_anchors(x, g)
             a0 = apply_anchor_adjacency(g, p0)
-        if config.mode != "fixed_k":
-            k = step_sparsity(schedule, k)
+        k += delta_k
 
     if config.outer_epochs == 0:
         _, trace = _stage("training",
@@ -257,5 +236,5 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     snapshot(config.outer_epochs, g, z, z_t)
 
     return RunResult(z=z, graph=g, diagnostics=diagnostics,
-                     loss_traces=loss_traces, schedule=schedule, k_final=k,
+                     loss_traces=loss_traces,
                      iteration_graphs=iteration_graphs)

@@ -21,13 +21,17 @@ TOP_LEVEL_KEYS = {
 }
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never observe a
-    partial artifact."""
+def atomic_write(path, write) -> None:
+    """Call write(tmp) on a sibling temp path, then rename it to path, so
+    readers never observe a partial artifact."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    write(tmp)
     os.replace(tmp, path)
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
 def build_report(config_echo: dict, result, acc: float | None,

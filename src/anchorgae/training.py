@@ -116,9 +116,9 @@ def _branch_grads(cache: ForwardCache, params: EncoderParams,
     for l in range(n_layers - 1, -1, -1):
         if cache.pre_activation[l].shape != grad.shape:
             raise ValueError("cache does not match gradient shapes (stale forward?)")
-        if params.activations[l] == "relu":
-            # In place: the last layer is linear, so grad is an array made
-            # here, never the caller's grad_out.
+        if l < n_layers - 1:
+            # ReLU, in place: the last layer is linear, so grad is an array
+            # made here, never the caller's grad_out.
             np.multiply(grad, cache.pre_activation[l] > 0.0, out=grad)
         grad = spread_t(grad)
         grads[l] = cache.inputs[l].T @ grad

@@ -54,14 +54,10 @@ def matmul(a, b):
 
 def pairwise_sq_dist_expression(a, b):
     """Squared distances by the norm expansion written as one expression,
-    sq_a + sq_b - 2 a b^T, clamped at 0; the diagonal of the product gives
-    the norms when a is b."""
+    sq_a + sq_b - 2 a b^T, clamped at 0."""
     cross = a @ b.T
-    if a is b:
-        sq_a = sq_b = np.diagonal(cross).copy()
-    else:
-        sq_a = np.einsum("ij,ij->i", a, a)
-        sq_b = np.einsum("ij,ij->i", b, b)
+    sq_a = np.einsum("ij,ij->i", a, a)
+    sq_b = np.einsum("ij,ij->i", b, b)
     d = sq_a[:, None] + sq_b[None, :] - 2.0 * cross
     np.maximum(d, 0.0, out=d)
     return d
@@ -167,7 +163,7 @@ def random_bench_graph(n, m, k, rng):
             idx[j, 0] = j
     w = rng.random((n, k)) + 0.1
     w /= w.sum(axis=1, keepdims=True)
-    return AnchorGraph(idx, w, np.zeros((m, 1)), m)
+    return AnchorGraph(idx, w, m)
 
 
 def first_layer_inputs(g, x, c):
@@ -234,10 +230,11 @@ def aggregated_forward(g, x, params, apply_adj):
     (n x d_l on the sample side) and multiplies it by W. Returns
     (out, aggregates, pre-activations)."""
     h, aggregates, pre = x, [], []
-    for w, tag in zip(params.layers, params.activations):
+    last = len(params.layers) - 1
+    for l, w in enumerate(params.layers):
         aggregates.append(apply_adj(g, h))
         pre.append(aggregates[-1] @ w)
-        h = np.maximum(pre[-1], 0.0) if tag == "relu" else pre[-1]
+        h = pre[-1] if l == last else np.maximum(pre[-1], 0.0)
     return h, aggregates, pre
 
 
@@ -245,10 +242,11 @@ def aggregated_branch_grads(g, aggregates, pre, params, grad_out, apply_adj_t):
     """Weight gradients of one branch from aggregated_forward's
     intermediates: aggregate^T g at every layer, apply_adj_t(g, g W^T)
     between layers."""
+    last = len(params.layers) - 1
     grads = [None] * len(params.layers)
     grad = grad_out
-    for l in range(len(params.layers) - 1, -1, -1):
-        if params.activations[l] == "relu":
+    for l in range(last, -1, -1):
+        if l < last:
             grad = grad * (pre[l] > 0.0)
         grads[l] = aggregates[l].T @ grad
         if l > 0:
@@ -281,16 +279,17 @@ def encoder_dims(params):
 
 def copy_params(params):
     """An independent copy of an encoder's weights."""
-    return EncoderParams([w.copy() for w in params.layers],
-                         list(params.activations))
+    return EncoderParams([w.copy() for w in params.layers])
 
 
 def dense_gcn_forward(a, x, params):
-    """Reference forward pass through an explicit adjacency."""
+    """Reference forward pass through an explicit adjacency: ReLU after
+    every layer but the last."""
     h = x
-    for w, tag in zip(params.layers, params.activations):
+    last = len(params.layers) - 1
+    for l, w in enumerate(params.layers):
         h = a @ h @ w
-        if tag == "relu":
+        if l < last:
             h = np.maximum(h, 0.0)
     return h
 

@@ -142,7 +142,7 @@ def test_c03_factored_equals_dense_convolution():
                 idx[j % n, 0] = j
         w = rng.random((n, k)) + 0.05
         w /= w.sum(axis=1, keepdims=True)
-        g = AnchorGraph(idx, w, np.zeros((m, d)), m)
+        g = AnchorGraph(idx, w, m)
         x = rng.normal(size=(n, d))
         c = rng.normal(size=(m, d))
         params = init_params([d, int(rng.integers(3, 9)), 3], rng)
@@ -178,7 +178,7 @@ def test_c04_analytic_gradients_match_finite_differences():
         idx = np.asarray(fixed)
         w = rng.random((n, k)) + 0.05
         w /= w.sum(axis=1, keepdims=True)
-        g = AnchorGraph(idx, w, np.zeros((m, 5)), m)
+        g = AnchorGraph(idx, w, m)
         x = rng.normal(size=(n, 5))
         c = rng.normal(size=(m, 5))
         params = init_params([5, 4, 3], rng)

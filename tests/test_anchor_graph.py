@@ -6,6 +6,7 @@ import pytest
 from anchorgae import anchor_graph, numerics
 from anchorgae.anchor_graph import (
     FIT_MAX_ITERS,
+    FIT_TOL,
     AnchorGraph,
     ConnectivitySolveConfig,
     _solve_rows,
@@ -179,15 +180,14 @@ def test_row_rejects_bad_inputs():
 # --------------------------------------------------------- anchor update
 
 def test_update_anchors_unweighted_mean():
-    g = AnchorGraph(np.array([[0], [0]]), np.array([[1.0], [1.0]]),
-                    np.zeros((1, 2)), 1)
+    g = AnchorGraph(np.array([[0], [0]]), np.array([[1.0], [1.0]]), 1)
     x = np.array([[0.0, 0.0], [2.0, 2.0]])
     assert np.allclose(update_anchors(x, g), [[1.0, 1.0]])
 
 
 def test_update_anchors_identity_assignment():
     n = 5
-    g = AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)), np.zeros((n, 3)), n)
+    g = AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)), n)
     x = make_rng(26).normal(size=(n, 3))
     assert np.allclose(update_anchors(x, g), x)
 
@@ -198,7 +198,7 @@ def test_update_anchors_matches_loop_oracle():
     idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
     w = rng.random((n, k))
     w /= w.sum(axis=1, keepdims=True)
-    g = AnchorGraph(idx, w, np.zeros((m, d)), m)
+    g = AnchorGraph(idx, w, m)
     x = rng.normal(size=(n, d))
     expected = np.zeros((m, d))
     mass = np.zeros(m)
@@ -213,14 +213,13 @@ def test_update_anchors_matches_loop_oracle():
 
 def test_graph_rejects_dead_anchors():
     with pytest.raises(ValueError, match=r"anchors \[1, 2\] have zero degree"):
-        AnchorGraph(np.array([[0], [0]]), np.array([[1.0], [1.0]]),
-                    np.zeros((3, 2)), 3)  # anchors 1 and 2 never referenced
+        # anchors 1 and 2 never referenced
+        AnchorGraph(np.array([[0], [0]]), np.array([[1.0], [1.0]]), 3)
     idx = np.array([[0, 1], [0, 1]])
     with pytest.raises(ValueError, match=r"anchors \[1\] have zero degree"):
-        AnchorGraph(idx, np.array([[1.0, 0.0], [1.0 - 1e-13, 1e-13]]),
-                    np.zeros((2, 2)), 2)  # degree 1e-13, below the tolerance
-    g = AnchorGraph(idx, np.array([[1.0, 0.0], [1.0 - 1e-11, 1e-11]]),
-                    np.zeros((2, 2)), 2)
+        # degree 1e-13, below the tolerance
+        AnchorGraph(idx, np.array([[1.0, 0.0], [1.0 - 1e-13, 1e-13]]), 2)
+    g = AnchorGraph(idx, np.array([[1.0, 0.0], [1.0 - 1e-11, 1e-11]]), 2)
     assert np.allclose(g.delta, [2.0 - 1e-11, 1e-11], rtol=0, atol=1e-20)
 
 
@@ -232,7 +231,7 @@ def test_fit_separates_two_clouds():
     g = fit_anchor_graph(x, anchors0, ConnectivitySolveConfig(k=1))
     b = g.csr().toarray()
     # brute force over the two possible anchor assignments per sample
-    d = pairwise_sq_dist(x, g.anchors)
+    d = pairwise_sq_dist(x, g.pool(x))
     for i in range(40):
         assert b[i, d[i].argmin()] == 1.0
     assert b[:20, :].argmax(axis=1).std() == 0  # one cloud, one anchor
@@ -325,27 +324,26 @@ def test_fit_runs_to_the_cap_when_tolerance_never_fires():
     g = fit_anchor_graph(x, init_anchors(x, 20, rng), cfg, history=hist)
     assert cfg.max_iters == FIT_MAX_ITERS
     assert len(hist) == cfg.max_iters
-    assert np.all(relative_changes(hist) >= cfg.tol)  # no early stop was due
+    assert np.all(relative_changes(hist) >= FIT_TOL)  # no early stop was due
     assert np.array_equal(g.indices, hist[-1]["indices"])
 
 
-def test_fit_stops_at_first_change_below_tolerance():
+def test_fit_stops_at_first_change_below_tolerance(monkeypatch):
     rng = make_rng(40)
     x = rng.normal(size=(300, 4))
     anchors0 = init_anchors(x, 20, rng)
+    cfg = ConnectivitySolveConfig(k=3, max_iters=30)
     full = []
-    fit_anchor_graph(x, anchors0, ConnectivitySolveConfig(k=3, max_iters=30,
-                                                          tol=1e-300),
-                     history=full)
+    monkeypatch.setattr(anchor_graph, "FIT_TOL", 1e-300)
+    fit_anchor_graph(x, anchors0, cfg, history=full)
     tol = 1e-3
     # Change j compares iterations j and j + 1 (0-based), so the first
     # change below tol ends the loop after iteration j + 1.
     expected = int(np.flatnonzero(relative_changes(full) < tol)[0]) + 2
     assert 2 < expected < 30
     hist = []
-    fit_anchor_graph(x, anchors0, ConnectivitySolveConfig(k=3, max_iters=30,
-                                                          tol=tol),
-                     history=hist)
+    monkeypatch.setattr(anchor_graph, "FIT_TOL", tol)
+    fit_anchor_graph(x, anchors0, cfg, history=hist)
     assert len(hist) == expected
     assert [h["objective"] for h in hist] == \
         [h["objective"] for h in full[:expected]]
@@ -380,7 +378,7 @@ def test_fit_reseeds_dead_anchor():
     far = np.vstack([x[:2], [[500.0, 500.0]]])  # unreachable anchor
     g = fit_anchor_graph(x, far, ConnectivitySolveConfig(k=1))
     assert (g.delta > 0).all()
-    assert np.max(np.abs(g.anchors)) < 100.0  # pulled back into the data
+    assert np.max(np.abs(g.pool(x))) < 100.0  # pulled back into the data
 
 
 def test_reseeding_fits_match_full_stable_sort(monkeypatch):
@@ -398,34 +396,34 @@ def test_reseeding_fits_match_full_stable_sort(monkeypatch):
         rng = make_rng(seed)
         x = rng.normal(size=(80, 2))
         far = rng.normal(size=(10, 2)) + 40.0
-        return fit_anchor_graph(x, far, ConnectivitySolveConfig(k=k))
+        return x, fit_anchor_graph(x, far, ConnectivitySolveConfig(k=k))
 
     for seed in range(6):
         for k in (1, 2, 4):
             del reseeds[:]
-            ours = fit(seed, k)
+            x, ours = fit(seed, k)
             assert reseeds, (seed, k)
             with monkeypatch.context() as patch:
                 patch.setattr(anchor_graph, "_solve_rows",
                               lambda d, k, uniform=False: sorted_rows(d, k))
-                ref = fit(seed, k)
+                _, ref = fit(seed, k)
             assert np.array_equal(ours.indices, ref.indices), (seed, k)
             assert np.array_equal(ours.weights, ref.weights), (seed, k)
-            assert np.array_equal(ours.anchors, ref.anchors), (seed, k)
+            assert np.array_equal(ours.pool(x), ref.pool(x)), (seed, k)
 
 
 # ----------------------------------------------- normalization / adjacency
 
 def test_normalize_anchor_side_hand_case():
     g = AnchorGraph(np.array([[0, 1], [0, 1]]),
-                    np.array([[1.0, 0.0], [0.5, 0.5]]), np.zeros((2, 1)), 2)
+                    np.array([[1.0, 0.0], [0.5, 0.5]]), 2)
     out = normalize_anchor_side(g)
     assert np.allclose(g.delta, [1.5, 0.5])
     assert np.allclose(out, [[2 / 3, 1 / 3], [0.0, 1.0]])
 
 
 def test_normalize_anchor_side_identity():
-    g = AnchorGraph(np.arange(3)[:, None], np.ones((3, 1)), np.zeros((3, 1)), 3)
+    g = AnchorGraph(np.arange(3)[:, None], np.ones((3, 1)), 3)
     assert np.allclose(normalize_anchor_side(g), np.eye(3))
 
 
@@ -434,13 +432,13 @@ def test_normalize_anchor_side_rows_sum_to_one():
     idx = np.stack([rng.choice(5, size=2, replace=False) for _ in range(20)])
     w = rng.random((20, 2))
     w /= w.sum(axis=1, keepdims=True)
-    g = AnchorGraph(idx, w, np.zeros((5, 1)), 5)
+    g = AnchorGraph(idx, w, 5)
     out = normalize_anchor_side(g)
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-10
 
 
 def test_dense_adjacency_identity_graph():
-    g = AnchorGraph(np.arange(4)[:, None], np.ones((4, 1)), np.zeros((4, 1)), 4)
+    g = AnchorGraph(np.arange(4)[:, None], np.ones((4, 1)), 4)
     assert np.allclose(g.b_dot(g.pool(np.eye(4))), np.eye(4))
     assert np.allclose(g.anchor_adjacency(), np.eye(4))
 
@@ -456,7 +454,7 @@ def test_dense_adjacency_row_stochastic_and_symmetric():
                         for row in idx])
         w = rng.random((n, k)) + 0.05
         w /= w.sum(axis=1, keepdims=True)
-        g = AnchorGraph(idx, w, np.zeros((m, 1)), m)
+        g = AnchorGraph(idx, w, m)
         a, a_t = g.b_dot(g.pool(np.eye(n))), g.anchor_adjacency()
         assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10
         assert np.max(np.abs(a_t.sum(axis=1) - 1.0)) < 1e-10
@@ -468,8 +466,7 @@ def test_dense_adjacency_row_stochastic_and_symmetric():
 
 def test_dense_adjacency_three_row_example():
     g = AnchorGraph(np.array([[0, 1], [1, 0], [0, 1]]),
-                    np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]),
-                    np.zeros((2, 1)), 2)
+                    np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]), 2)
     a = g.b_dot(g.pool(np.eye(3)))
     assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-10
     assert np.max(np.abs(a - a.T)) < 1e-12
@@ -480,7 +477,7 @@ def test_graph_b_products_match_dense():
     idx = np.stack([rng.choice(7, size=3, replace=False) for _ in range(15)])
     w = rng.random((15, 3))
     w /= w.sum(axis=1, keepdims=True)
-    g = AnchorGraph(idx, w, np.zeros((7, 2)), 7)
+    g = AnchorGraph(idx, w, 7)
     b = g.csr().toarray()
     y = rng.normal(size=(7, 4))
     x = rng.normal(size=(15, 4))
@@ -501,5 +498,3 @@ def test_solve_config_validation():
         ConnectivitySolveConfig(k=0)
     with pytest.raises(ValueError):
         ConnectivitySolveConfig(k=2, max_iters=0)
-    with pytest.raises(ValueError):
-        ConnectivitySolveConfig(k=2, tol=0.0)

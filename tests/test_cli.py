@@ -134,7 +134,11 @@ def test_bench_is_an_unknown_command():
     (["--inner-epochs", "0"], "inner_epochs"),
     (["--layers", "0"], "hidden_dims"),
     (["--dim", "0"], "x needs at least one row and one column"),
-], ids=["lr-nan", "lr-inf", "inner-epochs-0", "layers-0", "dim-0"])
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--k0", "0"], "k0 must be >= 1, got 0"),
+    (["--ns", "0"], "n_s must be >= 1, got 0"),
+], ids=["lr-nan", "lr-inf", "inner-epochs-0", "layers-0", "dim-0", "seed-neg",
+        "k0-0", "ns-0"])
 def test_fit_bad_setting_exit_1_before_graph_fit(tmp_path, capsys,
                                                  monkeypatch, flags, cause):
     def fail(*args, **kwargs):

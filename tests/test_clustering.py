@@ -85,7 +85,7 @@ def test_spectral_separates_disjoint_groups():
     # densified adjacency must agree on the split
     idx = np.array([[0], [0], [0], [1], [1], [1]])
     w = np.ones((6, 1))
-    g = AnchorGraph(idx, w, np.zeros((2, 1)), 2)
+    g = AnchorGraph(idx, w, 2)
     v, u, assignment = spectral_via_svd(g, 2)
     labels = assignment.labels
     assert labels[0] == labels[1] == labels[2]
@@ -142,7 +142,7 @@ def test_spectral_rank_deficient_pads_and_warns():
     # every row identical => rank-1 bipartite graph
     idx = np.tile(np.array([[0, 1, 2]]), (8, 1))
     w = np.tile(np.array([[0.5, 0.25, 0.25]]), (8, 1))
-    g = AnchorGraph(idx, w, np.zeros((3, 1)), 3)
+    g = AnchorGraph(idx, w, 3)
     with pytest.warns(RuntimeWarning, match="rank"):
         v, _, assignment = spectral_via_svd(g, 3)
     assert v.shape == (8, 3)
@@ -151,7 +151,7 @@ def test_spectral_rank_deficient_pads_and_warns():
 
 
 def test_spectral_validates_inputs():
-    g = AnchorGraph(np.array([[0], [1]]), np.ones((2, 1)), np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0], [1]]), np.ones((2, 1)), 2)
     with pytest.raises(ValueError, match="1 <= c <= m"):
         spectral_via_svd(g, 3)
 

@@ -23,9 +23,8 @@ from oracles import (
 )
 
 
-def identity_graph(n, d_anchor=1):
-    return AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)),
-                       np.zeros((n, d_anchor)), n)
+def identity_graph(n):
+    return AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)), n)
 
 
 def random_graph(n, m, k, rng):
@@ -40,7 +39,7 @@ def random_graph(n, m, k, rng):
     idx = np.stack(fixed)
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
-    return AnchorGraph(idx, w, np.zeros((m, 1)), m)
+    return AnchorGraph(idx, w, m)
 
 
 def test_init_params_shapes_and_bounds():
@@ -48,7 +47,6 @@ def test_init_params_shapes_and_bounds():
     assert params.layers[0].shape == (4, 3)
     bound = np.sqrt(6.0 / 7.0)
     assert np.max(np.abs(params.layers[0])) <= bound
-    assert params.activations == ["linear"]
 
 
 def test_init_params_deterministic():
@@ -63,7 +61,6 @@ def test_init_params_default_stack_sizes():
     assert len(params.layers) == 2
     assert params.layers[0].shape == (784, 128)
     assert params.layers[1].shape == (128, 64)
-    assert params.activations == ["relu", "linear"]
     assert encoder_dims(params) == [784, 128, 64]
 
 
@@ -75,11 +72,9 @@ def test_init_params_rejects_single_dim():
 def test_encoder_params_validation():
     w1, w2 = np.zeros((4, 3)), np.zeros((5, 2))
     with pytest.raises(ValueError, match="chain"):
-        EncoderParams([w1, w2], ["relu", "linear"])
-    with pytest.raises(ValueError, match="last layer"):
-        EncoderParams([np.zeros((4, 3))], ["relu"])
-    with pytest.raises(ValueError, match="activation"):
-        EncoderParams([np.zeros((4, 3))], ["tanh"])
+        EncoderParams([w1, w2])
+    with pytest.raises(ValueError, match="at least one layer"):
+        EncoderParams([])
 
 
 def test_identity_graph_single_linear_layer_is_xw():
@@ -118,7 +113,7 @@ def test_anchor_adjacency_matches_factored_oracle():
     idx[0] = [0, 1, 2]
     w = np.tile(np.array([[0.5, 0.3, 0.2]]), (20, 1))
     w[0] = [0.6, 0.4 - 1e-10, 1e-10]
-    graphs.append(AnchorGraph(idx, w, np.zeros((4, 1)), 4))
+    graphs.append(AnchorGraph(idx, w, 4))
     for g in graphs:
         h = rng.normal(size=(g.m, 6))
         assert np.max(np.abs(apply_anchor_adjacency(g, h)
@@ -169,7 +164,7 @@ def test_relu_kills_all_negative_preactivations():
     x = -np.abs(rng.normal(size=(5, 3)))  # strictly negative input
     w1 = np.abs(rng.normal(size=(3, 4)))  # positive weights => negative preact
     w2 = rng.normal(size=(4, 2))
-    params = EncoderParams([w1, w2], ["relu", "linear"])
+    params = EncoderParams([w1, w2])
     g = identity_graph(5)
     z, cache = conv_forward_samples(g, g.pool(x), params)
     assert np.array_equal(z, np.zeros((5, 2)))
@@ -193,7 +188,7 @@ def test_row_stochastic_smoothing_convex_combination():
     n, m, k, d = 30, 6, 2, 4
     g = random_graph(n, m, k, rng)
     x = rng.normal(size=(n, d))
-    params = EncoderParams([np.eye(d)], ["linear"])
+    params = EncoderParams([np.eye(d)])
     z, _ = conv_forward_samples(g, g.pool(x), params)
     for col in range(d):
         assert z[:, col].min() >= x[:, col].min() - 1e-12

@@ -55,12 +55,6 @@ def test_pairwise_three_four_five():
     assert out[0, 0] == 25.0
 
 
-def test_pairwise_self_distance_diagonal_is_zero():
-    m = make_rng(13).normal(size=(9, 5)) * 50.0
-    d = pairwise_sq_dist(m, m)
-    assert np.array_equal(np.diagonal(d), np.zeros(9))
-
-
 def test_pairwise_matches_per_pair_oracle():
     rng = make_rng(14)
     a = rng.normal(size=(10, 4))

@@ -6,18 +6,19 @@ from anchorgae.anchor_graph import (
     FIT_MAX_ITERS,
     AnchorGraph,
     ConnectivitySolveConfig,
+    fit_anchor_graph,
+    init_anchors,
 )
 from anchorgae.clustering import kmeans
 from anchorgae.data_io import make_blobs, minmax_scale
 from anchorgae.metrics import acc
-from anchorgae.numerics import make_rng
+from anchorgae.numerics import make_rng, spawn_rngs
 from anchorgae.pipeline import (
     AnchorGaeConfig,
-    SparsitySchedule,
     measure_collapse,
     pullback_anchors,
     run_anchorgae,
-    step_sparsity,
+    sparsity_increment,
 )
 from oracles import on_support, union_find_components
 
@@ -37,51 +38,44 @@ def scaled_blobs(n=600, d=8, c=4, sep=12.0, seed=0):
 # ------------------------------------------------------------- schedule
 
 def test_schedule_hand_example():
-    s = SparsitySchedule.plan(k0=3, m=500, n=10_000, n_s=1000, outer_epochs=5)
-    assert s.k_m == 50 and s.delta_k == 9
-    path = [3]
-    for _ in range(5):
-        path.append(step_sparsity(s, path[-1]))
-    assert path == [3, 12, 21, 30, 39, 48]
+    # k_m = floor(500 * 1000 / 10000) = 50, spread over 5 rounds.
+    assert sparsity_increment(k0=3, m=500, n=10_000, n_s=1000,
+                              outer_epochs=5) == 9
 
 
 def test_schedule_zero_increment():
-    s = SparsitySchedule.plan(k0=3, m=20, n=1000, n_s=160, outer_epochs=5)
-    assert s.delta_k == 0
-    assert step_sparsity(s, 3) == 3
+    # k_m = 3 = k0: nothing to climb.
+    assert sparsity_increment(k0=3, m=20, n=1000, n_s=160,
+                              outer_epochs=5) == 0
+    assert sparsity_increment(k0=3, m=500, n=10_000, n_s=1000,
+                              outer_epochs=0) == 0
 
 
 def test_schedule_caps_below_anchor_count():
-    s = SparsitySchedule.plan(k0=3, m=10, n=100, n_s=95, outer_epochs=2)
-    k = 3
-    for _ in range(6):
-        k = step_sparsity(s, k)
-    assert k <= 9
+    # floor(10 * 95 / 100) = 9 = m - 1; floor(10 * 500 / 100) = 50 is capped.
+    for n_s in (95, 500):
+        delta_k = sparsity_increment(k0=3, m=10, n=100, n_s=n_s,
+                                     outer_epochs=2)
+        assert delta_k == 3 and 3 + 2 * delta_k <= 9
 
 
 def test_schedule_k_m_never_below_k0():
-    s = SparsitySchedule.plan(k0=5, m=30, n=10_000, n_s=10, outer_epochs=4)
-    assert s.k_m >= 5 and s.delta_k == 0
-
-
-def test_step_rejects_k_below_k0():
-    s = SparsitySchedule.plan(k0=3, m=10, n=50, n_s=12, outer_epochs=2)
-    with pytest.raises(ValueError):
-        step_sparsity(s, 2)
+    # k_m = floor(30 * 10 / 10000) = 0 < k0: k stays at k0.
+    assert sparsity_increment(k0=5, m=30, n=10_000, n_s=10,
+                              outer_epochs=4) == 0
 
 
 # ------------------------------------------------------------- pullback
 
 def test_pullback_identity_graph_returns_data():
     n = 5
-    g = AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)), np.zeros((n, 3)), n)
+    g = AnchorGraph(np.arange(n)[:, None], np.ones((n, 1)), n)
     x = make_rng(100).normal(size=(n, 3))
     assert np.allclose(pullback_anchors(x, g), x)
 
 
 def test_pullback_uniform_pair_is_midpoint():
-    g = AnchorGraph(np.array([[0], [0]]), np.array([[0.5], [0.5]]),
-                    np.zeros((1, 2)), 1)
+    g = AnchorGraph(np.array([[0], [0]]), np.array([[0.5], [0.5]]), 1)
     x = np.array([[0.0, 0.0], [4.0, 2.0]])
     assert np.allclose(pullback_anchors(x, g), [[2.0, 1.0]])
 
@@ -92,7 +86,7 @@ def test_pullback_matches_loop_oracle():
     idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
     w = rng.random((n, k))
     w /= w.sum(axis=1, keepdims=True)
-    g = AnchorGraph(idx, w, np.zeros((m, d)), m)
+    g = AnchorGraph(idx, w, m)
     x = rng.normal(size=(n, d))
     expected = np.zeros((m, d))
     for j in range(m):
@@ -118,7 +112,7 @@ def test_pullback_stays_in_convex_hull():
     idx = np.asarray(fixed)
     w = rng.random((30, 3)) + 0.01
     w /= w.sum(axis=1, keepdims=True)
-    g = AnchorGraph(idx, w, np.zeros((6, 4)), 6)
+    g = AnchorGraph(idx, w, 6)
     x = rng.normal(size=(30, 4)) * 3
     pulled = pullback_anchors(x, g)
     assert np.array_equal(pulled, g.pool(x))
@@ -132,7 +126,7 @@ def test_pullback_stays_in_convex_hull():
 def test_measure_collapse_uniform_rows_zero_gap():
     idx = np.stack([np.arange(3)] * 5)
     w = np.full((5, 3), 1.0 / 3.0)
-    g = AnchorGraph(idx, w, np.zeros((3, 1)), 3)
+    g = AnchorGraph(idx, w, 3)
     entry = measure_collapse(g, on_support(g, np.full((5, 3), 1.0 / 3.0)))
     assert entry.uniformity_gap == 0.0
 
@@ -141,7 +135,7 @@ def test_measure_collapse_block_diagonal_components():
     # three disjoint sample/anchor blocks
     idx = np.array([[0], [0], [1], [1], [2], [2]])
     w = np.ones((6, 1))
-    g = AnchorGraph(idx, w, np.zeros((3, 1)), 3)
+    g = AnchorGraph(idx, w, 3)
     q = g.csr().toarray()
     entry = measure_collapse(g, on_support(g, q))
     edges = [(i, int(idx[i, 0])) for i in range(6)]
@@ -151,7 +145,7 @@ def test_measure_collapse_block_diagonal_components():
 def test_measure_collapse_reconstruction_gap_zero_when_exact():
     idx = np.array([[0, 1], [1, 2]])
     w = np.array([[0.6, 0.4], [0.3, 0.7]])
-    g = AnchorGraph(idx, w, np.zeros((3, 1)), 3)
+    g = AnchorGraph(idx, w, 3)
     entry = measure_collapse(g, on_support(g, g.csr().toarray()))
     assert entry.reconstruction_gap == 0.0
     assert entry.k == 2
@@ -163,7 +157,7 @@ def test_measure_collapse_random_components_vs_oracle():
     idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
-    g = AnchorGraph(idx, w, np.zeros((m, 1)), m)
+    g = AnchorGraph(idx, w, m)
     entry = measure_collapse(g, on_support(g, rng.random((n, m))))
     edges = [(i, int(j)) for i in range(n) for j in idx[i]]
     assert entry.component_count == union_find_components(n, m, edges)
@@ -178,7 +172,6 @@ def test_run_full_mode_recovers_blobs():
     assert acc(out.labels, labels) >= 0.95
     assert len(result.loss_traces) == 2
     assert len(result.diagnostics) == 3  # one per round plus the final graph
-    assert result.k_final >= 3
 
 
 def test_run_zero_outer_epochs_single_round_no_refit():
@@ -187,9 +180,13 @@ def test_run_zero_outer_epochs_single_round_no_refit():
     result = run_anchorgae(x, config)
     assert len(result.loss_traces) == 1
     assert len(result.diagnostics) == 1
-    assert result.k_final == config.k0
-    # no refit: anchors stayed in the raw feature space
-    assert result.graph.anchors.shape[1] == x.shape[1]
+    # no refit: the final graph is the initial fit on the raw features
+    rng_anchor, _ = spawn_rngs(config.seed, 2)
+    initial = fit_anchor_graph(
+        x, init_anchors(x, config.anchors, rng_anchor),
+        ConnectivitySolveConfig(config.k0))
+    assert np.array_equal(result.graph.indices, initial.indices)
+    assert np.array_equal(result.graph.weights, initial.weights)
 
 
 def test_run_fixed_b_keeps_graph():
@@ -205,7 +202,6 @@ def test_run_fixed_k_keeps_sparsity():
     x, _ = scaled_blobs(n=300)
     result = run_anchorgae(x, quick_config(mode="fixed_k", anchors=25,
                                            inner_epochs=30))
-    assert result.k_final == 3
     assert all(e.k == 3 for e in result.diagnostics)
 
 
@@ -218,21 +214,28 @@ def test_run_knn_mode_uniform_weights():
 
 
 def test_run_k_sequence_non_decreasing_and_bounded():
+    # n_s = n puts floor(m * n_s / n) at m, so k_m is clamped to m - 1 = 29
+    # and k climbs by (29 - 3) // 4 = 6 per round.
     x, _ = scaled_blobs(n=400)
-    config = quick_config(outer_epochs=4, anchors=30, inner_epochs=20)
+    config = quick_config(outer_epochs=4, anchors=30, inner_epochs=20,
+                          n_s=400)
     result = run_anchorgae(x, config)
     ks = [e.k for e in result.diagnostics]
-    assert all(b >= a for a, b in zip(ks, ks[1:]))
-    assert result.k_final <= config.anchors - 1
-    # the sparsity step runs after the last refit, so k_final may sit one
-    # increment above the k of the final recorded graph
-    assert ks[-1] <= result.k_final <= ks[-1] + result.schedule.delta_k
+    # each round records the graph it trained on; k grows after each refit
+    assert ks == [3, 3, 9, 15, 21]
+    assert all(k <= config.anchors - 1 for k in ks)
 
 
 def test_run_default_ns_follows_cluster_count():
+    # n // clusters = 100 gives k_m = floor(30 * 100 / 400) = 7 and steps of
+    # (7 - 3) // 2 = 2.
     x, _ = scaled_blobs(n=400)
     result = run_anchorgae(x, quick_config(anchors=30, inner_epochs=20))
-    assert result.schedule.n_s == 100  # n // clusters
+    explicit = run_anchorgae(x, quick_config(anchors=30, inner_epochs=20,
+                                             n_s=100))
+    ks = [e.k for e in result.diagnostics]
+    assert ks == [e.k for e in explicit.diagnostics]
+    assert ks == [3, 3, 5]
 
 
 def test_run_deterministic():
@@ -319,8 +322,7 @@ def test_layer0_aggregated_once_per_graph_not_per_epoch(monkeypatch, mode,
     run_anchorgae(x, quick_config(anchors=20, hidden_dims=(6, 4),
                                   outer_epochs=2, inner_epochs=5, mode=mode))
     # One anchor-side aggregation per graph fit. The sample side's pooled
-    # input is the anchor input that the fit or the pullback made, so x is
-    # pooled nowhere else.
+    # input is the pullback's, so x is pooled nowhere else.
     assert counts["aggregate", "other"] == graphs
     assert counts["aggregate", "train"] == counts["aggregate", "fit"] == 0
     assert counts["pool", "train"] == counts["pool", "other"] == 0
@@ -330,24 +332,25 @@ def test_layer0_aggregated_once_per_graph_not_per_epoch(monkeypatch, mode,
 @pytest.mark.parametrize("mode", pipeline.MODES)
 def test_sample_side_first_input_is_the_anchor_input(monkeypatch, mode):
     """Every forward pass of a run gets its first-layer input from x pooled
-    onto its graph, bit for bit: p0 = g.pool(x), the anchor input that the
-    fit or the pullback made, on the sample side, and a0 = g.pool(x)
-    aggregated by the anchor-side adjacency on the anchor side."""
+    onto its graph, bit for bit: p0 = g.pool(x), the pullback's anchors, on
+    the sample side, and a0 = g.pool(x) aggregated by the anchor-side
+    adjacency on the anchor side."""
     from anchorgae import training
 
     x, _ = scaled_blobs(n=200, d=7, seed=1)
-    checked = {"samples": set(), "anchors": set()}
+    # Graphs by id; holding them keeps a freed graph's id from being reused.
+    checked = {"samples": {}, "anchors": {}}
 
     def checking(g, p0, params, keep_cache=True,
                  _orig=pipeline.conv_forward_samples):
         assert np.array_equal(p0, g.pool(x))
-        checked["samples"].add(id(g))
+        checked["samples"][id(g)] = g
         return _orig(g, p0, params, keep_cache)
 
     def checking_anchors(g, a0, params, keep_cache=True,
                          _orig=pipeline.conv_forward_anchors):
         assert np.array_equal(a0, g.anchor_adjacency() @ g.pool(x))
-        checked["anchors"].add(id(g))
+        checked["anchors"][id(g)] = g
         return _orig(g, a0, params, keep_cache)
 
     for mod in (pipeline, training):
@@ -409,3 +412,9 @@ def test_config_validation():
         AnchorGaeConfig(clusters=30, anchors=25)
     with pytest.raises(ValueError, match="between 2 and anchors=100, got 1"):
         AnchorGaeConfig(clusters=1)
+    with pytest.raises(ValueError, match="k0 must be >= 1, got 0"):
+        AnchorGaeConfig(clusters=2, k0=0)
+    with pytest.raises(ValueError, match="n_s must be >= 1, got 0"):
+        AnchorGaeConfig(clusters=2, n_s=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        AnchorGaeConfig(clusters=2, seed=-1)

@@ -62,7 +62,7 @@ def random_instance(rng, n=12, m=4, k=2, dims=(5, 4, 3)):
     idx = np.stack(fixed)
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
-    g = AnchorGraph(idx, w, np.zeros((m, dims[0])), m)
+    g = AnchorGraph(idx, w, m)
     x = rng.normal(size=(n, dims[0]))
     c = rng.normal(size=(m, dims[0]))
     params = init_params(list(dims), rng)
@@ -111,15 +111,14 @@ def test_decode_dim_mismatch():
 # ------------------------------------------------------------------- loss
 
 def test_loss_uniform_pair_is_ln2():
-    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.5, 0.5]]),
-                    np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.5, 0.5]]), 2)
     q = np.array([[0.5, 0.5]])
     assert abs(loss(g, on_support(g, q)) - np.log(2.0)) < 1e-12
 
 
 def test_loss_one_hot_limit_tends_to_zero():
     g = AnchorGraph(np.array([[0, 1], [1, 0]]),
-                    np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros((2, 1)), 2)
+                    np.array([[1.0, 0.0], [1.0, 0.0]]), 2)
     q = np.array([[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]])
     value = loss(g, on_support(g, q))
     assert 0.0 < value < 1e-11
@@ -132,7 +131,7 @@ def test_loss_gibbs_inequality():
         idx = np.stack([rng.choice(m, size=k, replace=False) for _ in range(n)])
         w = rng.random((n, k))
         w /= w.sum(axis=1, keepdims=True)
-        g = AnchorGraph(idx, w, np.zeros((m, 1)), m)
+        g = AnchorGraph(idx, w, m)
         q = rng.random((n, m)) + 1e-3
         q /= q.sum(axis=1, keepdims=True)
         h = sum(entropy(row) for row in w)
@@ -144,8 +143,7 @@ def test_loss_gibbs_inequality():
 
 
 def test_loss_underflow_clamps_and_warns():
-    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.7, 0.3]]),
-                    np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.7, 0.3]]), 2)
     q = np.array([[0.0, 1.0]])
     with pytest.warns(RuntimeWarning, match="clamp"):
         value = loss(g, on_support(g, q))
@@ -153,8 +151,7 @@ def test_loss_underflow_clamps_and_warns():
 
 
 def test_loss_shape_check():
-    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.5, 0.5]]),
-                    np.zeros((2, 1)), 2)
+    g = AnchorGraph(np.array([[0, 1]]), np.array([[0.5, 0.5]]), 2)
     with pytest.raises(ValueError, match="expected"):
         loss(g, np.ones((2, 2)))
 
@@ -250,8 +247,7 @@ def test_backward_rejects_stale_cache():
 # ------------------------------------------------------- blocked decoder
 
 def single_row_instance(rng, dims=(5, 4, 3)):
-    g = AnchorGraph(np.array([[1, 0]]), np.array([[0.3, 0.7]]),
-                    np.zeros((2, dims[0])), 2)
+    g = AnchorGraph(np.array([[1, 0]]), np.array([[0.3, 0.7]]), 2)
     return (g, rng.normal(size=(1, dims[0])), rng.normal(size=(2, dims[0])),
             init_params(list(dims), rng))
 
@@ -311,7 +307,7 @@ def test_underflow_warns_once_per_call_across_blocks(monkeypatch):
     n = 5
     idx = np.tile([1, 2], (n, 1))
     idx[-1] = [0, 1]
-    g = AnchorGraph(idx, np.full((n, 2), 0.5), np.zeros((3, 1)), 3)
+    g = AnchorGraph(idx, np.full((n, 2), 0.5), 3)
     z = np.zeros((n, 1))
     z[-1] = 200.0
     z_t = np.array([[0.0], [100.0], [200.0]])
@@ -344,7 +340,7 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
     idx[:m, 0] = np.arange(m)
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
-    g = AnchorGraph(idx, w, np.zeros((m, 4)), m)
+    g = AnchorGraph(idx, w, m)
     x = rng.normal(size=(n, 4))
     c = rng.normal(size=(m, 4))
     params = init_params([4, 3, 2], rng)
