@@ -134,7 +134,8 @@ def init_anchors(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
 def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
     """Closed-form k-sparse rows for a whole distance matrix (n x m).
 
-    Returns (indices (n,k), weights (n,k), gamma (n,)). Only the k+1
+    Returns (indices (n,k), weights (n,k), gamma (n,), d_sup (n,k)), d_sup
+    holding each support entry's distance. Only the k+1
     nearest anchors of a row enter its solution. Tie rule: they are the
     first k+1 anchors of the row ordered by distance and then by anchor
     index, so a tie goes to the lowest index, and they are returned in that
@@ -175,8 +176,8 @@ def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
     by_dist = np.argsort(d_near, axis=1, kind="stable")
     nearest = np.take_along_axis(nearest, by_dist, axis=1)
     d_near = np.take_along_axis(d_near, by_dist, axis=1)
-    support = nearest[:, :k]
-    num = d_near[:, k:] - d_near[:, :k]
+    support, d_sup = nearest[:, :k], d_near[:, :k]
+    num = d_near[:, k:] - d_sup
     den = num.sum(axis=1, keepdims=True)
     degenerate = den <= 0.0
     if uniform:
@@ -184,7 +185,7 @@ def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
     else:
         safe_den = np.where(degenerate, 1.0, den)
         weights = np.where(degenerate, 1.0 / k, num / safe_den)
-    return support, weights, 0.5 * den[:, 0]
+    return support, weights, 0.5 * den[:, 0], d_sup
 
 
 def update_anchors(x_mapped: np.ndarray, g: AnchorGraph) -> np.ndarray:
@@ -275,8 +276,8 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
     for _ in range(cfg.max_iters):
         # Dead anchors would make delta singular; re-seed and re-solve.
         for attempt in range(m + 1):
-            support, weights, gamma = _solve_rows(dists, cfg.k,
-                                                  uniform=uniform_rows)
+            support, weights, gamma, d_sup = _solve_rows(
+                dists, cfg.k, uniform=uniform_rows)
             _, dead = _dead_anchors(support, weights, m)
             if not dead.size:
                 break
@@ -289,7 +290,6 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
             _reseed_dead_anchors(x, anchors, dists, dead)
         g = AnchorGraph(support, weights, m)
 
-        d_sup = np.take_along_axis(dists, support, axis=1)
         if uniform_rows:
             obj = float(np.sum(weights * d_sup))
         else:

@@ -17,6 +17,10 @@ from .numerics import make_rng, pairwise_sq_dist, sym_eig_topc
 # k-means++ seeded Lloyd runs per k-means call; the best one is kept.
 KMEANS_RESTARTS = 10
 
+# Iteration cap of one Lloyd run, and the center move that ends it early.
+LLOYD_MAX_ITERS = 100
+LLOYD_TOL = 1e-9
+
 
 @dataclass
 class ClusterAssignment:
@@ -49,12 +53,11 @@ def _kmeans_pp_seed(z: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(z: np.ndarray, centers: np.ndarray, max_iter: int = 100,
-           tol: float = 1e-9) -> tuple[np.ndarray, float]:
+def _lloyd(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     """Lloyd iterations; empty clusters are re-seeded at the farthest point.
     Returns (labels, within-cluster sum of squares)."""
     c = centers.shape[0]
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITERS):
         d = pairwise_sq_dist(z, centers)
         labels = d.argmin(axis=1)
         new_centers = centers.copy()
@@ -66,7 +69,7 @@ def _lloyd(z: np.ndarray, centers: np.ndarray, max_iter: int = 100,
                 new_centers[j] = z[d.min(axis=1).argmax()]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift < tol:
+        if shift < LLOYD_TOL:
             break
     d = pairwise_sq_dist(z, centers)
     labels = d.argmin(axis=1)

@@ -42,10 +42,10 @@ class EncoderParams:
 
 @dataclass
 class ForwardCache:
-    """Per-layer intermediates kept for backprop: the m-row inputs that
-    multiply each weight matrix (the pooled g.pool(h_l) on the sample side,
-    the aggregated anchor-side adjacency times h_l on the anchor side) and
-    the pre-activations."""
+    """One forward pass: its output, the embedding, and the per-layer
+    intermediates backprop reads: the m-row inputs that multiply each weight
+    matrix (g.pool(h_l) on the sample side, the anchor-side adjacency times
+    h_l on the anchor side) and the pre-activations."""
 
     inputs: list[np.ndarray]
     pre_activation: list[np.ndarray]
@@ -88,8 +88,7 @@ def apply_anchor_adjacency_t(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
 
 
 def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
-             gather, spread, keep_cache: bool
-             ) -> tuple[np.ndarray, ForwardCache | None]:
+             gather, spread) -> ForwardCache:
     """Layer l computes s_l = spread(gather(h_l) @ W_l) and h_{l+1} =
     relu(s_l), except the last, whose output is s_l itself; first is
     gather(h_0), m x d_in, formed by the caller and used (and cached) as
@@ -106,23 +105,20 @@ def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
             m_l = gather(h)
         s_l = spread(m_l @ w)
         h = s_l if l == last else np.maximum(s_l, 0.0)
-        if keep_cache:
-            inputs.append(m_l)
-            pre.append(s_l)
-    cache = ForwardCache(inputs, pre, h) if keep_cache else None
-    return h, cache
+        inputs.append(m_l)
+        pre.append(s_l)
+    return ForwardCache(inputs, pre, h)
 
 
-def conv_forward_samples(g: AnchorGraph, p0: np.ndarray, params: EncoderParams,
-                         keep_cache: bool = True):
-    """Embed the n samples from p0 = g.pool(x). Returns (z, cache); cache is
-    None in inference mode (keep_cache=False)."""
-    return _forward(g, params, p0, g.pool, g.b_dot, keep_cache)
+def conv_forward_samples(g: AnchorGraph, p0: np.ndarray,
+                         params: EncoderParams) -> ForwardCache:
+    """Embed the n samples from p0 = g.pool(x); the cache's out is z."""
+    return _forward(g, params, p0, g.pool, g.b_dot)
 
 
-def conv_forward_anchors(g: AnchorGraph, a0: np.ndarray, params: EncoderParams,
-                         keep_cache: bool = True):
+def conv_forward_anchors(g: AnchorGraph, a0: np.ndarray,
+                         params: EncoderParams) -> ForwardCache:
     """Embed the m anchors from a0 = apply_anchor_adjacency(g, c) through the
-    shared weights with the anchor-side graph. Returns (z_t, cache)."""
+    shared weights with the anchor-side graph; the cache's out is z_t."""
     return _forward(g, params, a0, partial(apply_anchor_adjacency, g),
-                    lambda s: s, keep_cache)
+                    lambda s: s)

@@ -28,14 +28,14 @@ class Dataset:
         return self.x.shape[1]
 
 
-def load_csv(path, label_col: int | None = None, delimiter: str = ",") -> Dataset:
+def load_csv(path, label_col: int | None = None) -> Dataset:
     """Numeric CSV, one sample per row; an optional column holds class labels,
     which are mapped to dense ids in first-appearance order."""
     path = Path(path)
     rows, raw_labels = [], []
     width = None
     with open(path, newline="") as fh:
-        for i, record in enumerate(csv.reader(fh, delimiter=delimiter)):
+        for i, record in enumerate(csv.reader(fh)):
             if not record:
                 continue
             if width is None:

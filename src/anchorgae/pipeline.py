@@ -14,6 +14,7 @@ decoder's row blocks (sized by the constant numerics.BLOCK_ENTRIES)
 and keeps those n x k entries, so no n x m array is held here either.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +70,10 @@ class CollapseEntry:
     reconstruction_gap: float
 
 
-def measure_collapse(g: AnchorGraph, q_sup: np.ndarray) -> CollapseEntry:
-    """Diagnostics for one (graph, reconstruction) pair; q_sup holds the
-    reconstruction on the graph support (q_sup[i, t] = q[i, g.indices[i, t]]).
+def measure_collapse(g: AnchorGraph, q_sup: np.ndarray,
+                     iteration: int) -> CollapseEntry:
+    """Diagnostics of one round's (graph, reconstruction) pair; q_sup holds
+    the reconstruction on the graph support (q_sup[i, t] = q[i, g.indices[i, t]]).
 
     uniformity_gap: how far the support weights sit from the flat 1/k row.
     component_count: connected components of the bipartite graph (samples
@@ -91,7 +93,7 @@ def measure_collapse(g: AnchorGraph, q_sup: np.ndarray) -> CollapseEntry:
     ones = np.ones(rows.size)
     adj = sp.coo_matrix((ones, (rows, cols)), shape=(total, total))
     count, _ = connected_components(adj, directed=False)
-    return CollapseEntry(iteration=0, k=g.k, uniformity_gap=gap,
+    return CollapseEntry(iteration=iteration, k=g.k, uniformity_gap=gap,
                          component_count=int(count), reconstruction_gap=recon)
 
 
@@ -150,27 +152,44 @@ class RunResult:
     iteration_graphs: list[AnchorGraph] = field(default_factory=list)
 
 
-def _stage(name: str, fn):
+@contextmanager
+def _stage(name: str, config: AnchorGaeConfig, z: np.ndarray | None = None):
+    """Re-raise training's divergence, and the ValueError of a refit on the
+    trained embedding z, as a PipelineStageError naming the stage; a refit's
+    message says whether training collapsed z (checked on this error path
+    only) and names --lr. Other ValueErrors pass through."""
     try:
-        return fn()
+        yield
     except TrainingDiverged as exc:
         raise PipelineStageError(f"{name}: {exc}") from exc
+    except ValueError as exc:
+        if z is None:
+            raise
+        distinct = len(np.unique(z, axis=0))
+        cause = (f"training collapsed the embedding to {distinct} distinct "
+                 f"rows for m={config.anchors} anchors"
+                 if np.isfinite(z).all() and distinct < config.anchors
+                 else f"the trained embedding cannot be refit ({exc})")
+        raise PipelineStageError(f"{name}: {cause}; lower the learning rate "
+                                 f"(--lr {config.learning_rate:g})") from exc
 
 
 def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                   record_graphs: bool = False) -> RunResult:
-    """Full pipeline: initial graph on raw features, then outer_epochs rounds
-    of (train encoder -> refit graph on embeddings -> pull anchors back ->
-    grow sparsity), with collapse diagnostics after every round.
+    """Full pipeline: the initial graph on raw features, then rounds t = 0..T
+    (T = outer_epochs). Round t trains the encoder if t < max(T, 1), embeds,
+    and records its graph's collapse diagnostics as iteration t; each round
+    but the last then refits the graph at sparsity k and grows k by delta_k.
 
     Mode 'fixed_b' skips the refit (graph frozen), 'fixed_k' skips the
     sparsity growth, 'knn' swaps the weighted rows for flat 1/k rows over
-    the k nearest anchors. outer_epochs=0 degenerates to the initial graph
-    plus a single training round.
+    the k nearest anchors.
 
     Each graph gets one pair of first-layer inputs, shared by its training
     epochs and embeddings: p0 = pullback_anchors(x, g) = g.pool(x), the
     graph's anchors in input space, and a0 = apply_anchor_adjacency(g, p0).
+    A failed training or refit raises PipelineStageError naming the round;
+    the initial fit's ValueError (a bad input) passes through.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -179,61 +198,41 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                             optimizer=config.optimizer)
     rng_anchor, rng_params = spawn_rngs(config.seed, 2)
     uniform_rows = config.mode == "knn"
+    refit = config.mode != "fixed_b"
 
     n_s = config.n_s if config.n_s is not None else max(n // config.clusters, 1)
     delta_k = 0 if config.mode == "fixed_k" else sparsity_increment(
         config.k0, config.anchors, n, n_s, config.outer_epochs)
     k = config.k0
 
-    anchors0 = init_anchors(x, config.anchors, rng_anchor)
-    g = _stage("initial graph fit", lambda: fit_anchor_graph(
-        x, anchors0, ConnectivitySolveConfig(k, config.fit_max_iters),
-        uniform_rows=uniform_rows))
-    p0 = pullback_anchors(x, g)
-
+    g = fit_anchor_graph(
+        x, init_anchors(x, config.anchors, rng_anchor),
+        ConnectivitySolveConfig(k, config.fit_max_iters),
+        uniform_rows=uniform_rows)
     params = init_params([x.shape[1], *config.hidden_dims], rng_params)
 
-    diagnostics: list[CollapseEntry] = []
-    loss_traces: list[np.ndarray] = []
-    iteration_graphs: list[AnchorGraph] = []
-
-    def embed():
-        z, _ = conv_forward_samples(g, p0, params, keep_cache=False)
-        z_t, _ = conv_forward_anchors(g, a0, params, keep_cache=False)
-        return z, z_t
-
-    def snapshot(iteration: int, graph: AnchorGraph, z, z_t) -> None:
-        entry = measure_collapse(graph, decode_on_support(graph, z, z_t))
-        entry.iteration = iteration
-        diagnostics.append(entry)
-        if record_graphs:
-            iteration_graphs.append(graph)
-
-    a0 = apply_anchor_adjacency(g, p0)
-    for t in range(config.outer_epochs):
-        _, trace = _stage(f"outer iteration {t}, training",
-                          lambda: train(g, p0, a0, params, train_cfg))
-        loss_traces.append(trace)
-        z, z_t = embed()
-        snapshot(t, g, z, z_t)
-
-        if config.mode != "fixed_b":
-            g = _stage(f"outer iteration {t}, graph refit",
-                       lambda: fit_anchor_graph(
-                           z, z_t,
-                           ConnectivitySolveConfig(k, config.fit_max_iters),
-                           uniform_rows=uniform_rows))
+    diagnostics, loss_traces, iteration_graphs = [], [], []
+    for t in range(config.outer_epochs + 1):
+        if t == 0 or refit:
             p0 = pullback_anchors(x, g)
             a0 = apply_anchor_adjacency(g, p0)
+        if t < max(config.outer_epochs, 1):
+            with _stage(f"outer iteration {t}, training", config):
+                loss_traces.append(train(g, p0, a0, params, train_cfg))
+        z = conv_forward_samples(g, p0, params).out
+        z_t = conv_forward_anchors(g, a0, params).out
+        diagnostics.append(
+            measure_collapse(g, decode_on_support(g, z, z_t), t))
+        if record_graphs:
+            iteration_graphs.append(g)
+        if t == config.outer_epochs:
+            break
+        if refit:
+            with _stage(f"outer iteration {t}, graph refit", config, z):
+                g = fit_anchor_graph(
+                    z, z_t, ConnectivitySolveConfig(k, config.fit_max_iters),
+                    uniform_rows=uniform_rows)
         k += delta_k
-
-    if config.outer_epochs == 0:
-        _, trace = _stage("training",
-                          lambda: train(g, p0, a0, params, train_cfg))
-        loss_traces.append(trace)
-
-    z, z_t = embed()
-    snapshot(config.outer_epochs, g, z, z_t)
 
     return RunResult(z=z, graph=g, diagnostics=diagnostics,
                      loss_traces=loss_traces,

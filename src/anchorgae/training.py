@@ -178,11 +178,10 @@ def backward(g: AnchorGraph, sample_cache: ForwardCache,
 
 
 def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
-          params: EncoderParams, cfg: TrainConfig
-          ) -> tuple[EncoderParams, np.ndarray]:
+          params: EncoderParams, cfg: TrainConfig) -> np.ndarray:
     """Run cfg.inner_epochs full-batch steps on the siamese encoder.
 
-    Updates params in place and returns (params, per-epoch loss trace).
+    Updates params in place and returns the per-epoch loss trace.
     Aborts with TrainingDiverged naming the epoch if the loss leaves the
     finite range. p0 = g.pool(x) and a0 = apply_anchor_adjacency(g, c) are
     the first-layer inputs of the two branches, both m x d; they do not
@@ -192,8 +191,8 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(cfg.inner_epochs):
-        _, cache_s = conv_forward_samples(g, p0, params)
-        _, cache_a = conv_forward_anchors(g, a0, params)
+        cache_s = conv_forward_samples(g, p0, params)
+        cache_a = conv_forward_anchors(g, a0, params)
         grads, q_sup = backward(g, cache_s, cache_a, params)
         value = loss(g, q_sup)
         if not np.isfinite(value):
@@ -213,4 +212,4 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
                 v1 *= ADAM_BETA2
                 v1 += (1.0 - ADAM_BETA2) * grad * grad
                 w -= cfg.learning_rate * (m1 / bc1) / (np.sqrt(v1 / bc2) + ADAM_EPS)
-    return params, trace
+    return trace

@@ -107,7 +107,7 @@ def projected_gradient_row(dists, k, iters=200):
 
 def sorted_rows(dists, k):
     """Closed-form k-sparse rows from a full stable sort of every row:
-    (indices, weights, gamma), ties to the lowest anchor index, the uniform
+    (indices, weights, gamma, d_sup), ties to the lowest anchor index, the uniform
     1/k row where the k+1 nearest all tie."""
     order = np.argsort(dists, axis=1, kind="stable")
     support = order[:, :k]
@@ -118,7 +118,7 @@ def sorted_rows(dists, k):
     degenerate = den <= 0.0
     weights = np.where(degenerate, 1.0 / k,
                        num / np.where(degenerate, 1.0, den))
-    return support, weights, 0.5 * den[:, 0]
+    return support, weights, 0.5 * den[:, 0], d_sup
 
 
 def solve_connectivity_row(dists, k):
@@ -129,7 +129,7 @@ def solve_connectivity_row(dists, k):
         raise ValueError(f"dists must be a vector, got shape {dists.shape}")
     if not np.all(np.isfinite(dists)) or np.any(dists < 0):
         raise ValueError("dists must be finite and nonnegative")
-    support, weights, _ = _solve_rows(dists[None, :], k)
+    support, weights, *_ = _solve_rows(dists[None, :], k)
     row = np.zeros(dists.shape[0])
     row[support[0]] = weights[0]
     return row

@@ -148,8 +148,8 @@ def test_c03_factored_equals_dense_convolution():
         params = init_params([d, int(rng.integers(3, 9)), 3], rng)
         _, a, a_t = dense_adjacencies(g.indices, g.weights, g.m)
         p0, a0 = first_layer_inputs(g, x, c)
-        z, _ = conv_forward_samples(g, p0, params, keep_cache=False)
-        z_t, _ = conv_forward_anchors(g, a0, params, keep_cache=False)
+        z = conv_forward_samples(g, p0, params).out
+        z_t = conv_forward_anchors(g, a0, params).out
         worst = max(worst, float(np.max(np.abs(z - dense_gcn_forward(a, x, params)))))
         worst = max(worst, float(np.max(np.abs(z_t - dense_gcn_forward(a_t, c, params)))))
     elapsed = time.perf_counter() - start
@@ -184,13 +184,13 @@ def test_c04_analytic_gradients_match_finite_differences():
         params = init_params([5, 4, 3], rng)
 
         p0, a0 = first_layer_inputs(g, x, c)
-        _, cache_s = conv_forward_samples(g, p0, params)
-        _, cache_a = conv_forward_anchors(g, a0, params)
+        cache_s = conv_forward_samples(g, p0, params)
+        cache_a = conv_forward_anchors(g, a0, params)
         analytic, _ = backward(g, cache_s, cache_a, params)
 
         def value():
-            z2, _ = conv_forward_samples(g, p0, params, keep_cache=False)
-            zt2, _ = conv_forward_anchors(g, a0, params, keep_cache=False)
+            z2 = conv_forward_samples(g, p0, params).out
+            zt2 = conv_forward_anchors(g, a0, params).out
             return loss(g, on_support(g, decode(z2, zt2)))
 
         for a_grad, f_grad in zip(analytic, numerical_grads(value, params)):
@@ -218,14 +218,14 @@ def test_c05_linear_scaling_witness():
     for n in sizes:
         g = random_bench_graph(n, 200, 4, rng)
         x = rng.normal(size=(n, 64))
-        conv_forward_samples(g, g.pool(x), params, keep_cache=False)  # warm-up
+        conv_forward_samples(g, g.pool(x), params)  # warm-up
         inputs[n] = g, x
     fastest = dict.fromkeys(sizes, np.inf)
     for _ in range(7):
         for n in sizes:
             g, x = inputs[n]
             t0 = time.perf_counter()
-            conv_forward_samples(g, g.pool(x), params, keep_cache=False)
+            conv_forward_samples(g, g.pool(x), params)
             fastest[n] = min(fastest[n], time.perf_counter() - t0)
     r1 = fastest[20_000] / fastest[10_000]
     r2 = fastest[40_000] / fastest[20_000]

@@ -124,12 +124,13 @@ def test_row_ties_broken_by_index():
 
 def test_rows_match_full_stable_sort_on_ties(monkeypatch):
     def check(dists, k, uniform=False):
-        support, weights, gamma = _solve_rows(dists, k, uniform=uniform)
-        ref_support, ref_weights, ref_gamma = sorted_rows(dists, k)
+        support, weights, gamma, d_sup = _solve_rows(dists, k,
+                                                     uniform=uniform)
+        ref_support, ref_weights, ref_gamma, ref_d_sup = sorted_rows(dists, k)
         if uniform:
             ref_weights = np.full_like(ref_weights, 1.0 / k)
         for a, b in ((support, ref_support), (weights, ref_weights),
-                     (gamma, ref_gamma)):
+                     (gamma, ref_gamma), (d_sup, ref_d_sup)):
             assert np.array_equal(a, b), (dists.shape, k, uniform)
 
     rng = make_rng(25)
@@ -162,8 +163,9 @@ def test_rows_tie_straddling_the_boundary():
     # reaches into the support, so only the lowest-index tied anchor joins.
     dists = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0],
                       [2.0, 2.0, 1.0, 1.0, 0.0, 1.0]])
-    support, weights, gamma = _solve_rows(dists, 2)
+    support, weights, gamma, d_sup = _solve_rows(dists, 2)
     assert support.tolist() == [[1, 4], [4, 2]]
+    assert d_sup.tolist() == [[0.0, 0.0], [0.0, 1.0]]
     assert weights.tolist() == [[0.5, 0.5], [1.0, 0.0]]
     assert gamma.tolist() == [1.0, 0.5]
 

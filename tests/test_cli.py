@@ -88,26 +88,63 @@ def _write_csv(path, x):
     return str(path)
 
 
-def test_fit_overflowing_features_exit_1(tmp_path, capsys):
-    x = make_rng(0).normal(size=(60, 3)) * 1e160
-    code = main(["fit", "--format", "csv", "--input",
-                 _write_csv(tmp_path / "huge.csv", x), "--scale", "off",
-                 "--clusters", "2", "--anchors", "10", "--layers", "8,4",
-                 "--outer-epochs", "1", "--inner-epochs", "5"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "overflow" in err and "e+160" in err
+LR_PROBE = ["--format", "blobs", "--n", "500", "--clusters", "3",
+            "--anchors", "40", "--outer-epochs", "2", "--inner-epochs", "5",
+            "--lr", "1000"]
+SMALL_FIT = ["--clusters", "3", "--anchors", "20", "--layers", "8,4",
+             "--outer-epochs", "2", "--inner-epochs", "5"]
+
+# Hostile inputs and settings: (id, csv data or None, flags, exit code,
+# fragments the message must hold). Exit 1 is a bad input or setting,
+# exit 2 a stage that failed after training.
+PROBES = [
+    ("constant-column", lambda: np.column_stack(
+        [make_rng(2).normal(size=(200, 3)), np.full(200, 5.0)]),
+     SMALL_FIT, 0, []),
+    ("single-feature", lambda: make_rng(3).normal(size=(200, 1)),
+     SMALL_FIT, 0, []),
+    ("duplicated-rows",
+     lambda: np.repeat(make_rng(1).normal(size=(30, 4)), 10, axis=0),
+     ["--clusters", "3", "--anchors", "100", "--layers", "8,4",
+      "--outer-epochs", "1", "--inner-epochs", "5"],
+     1, ["30 distinct rows", "m=100"]),
+    ("identical-rows", lambda: np.ones((200, 3)), SMALL_FIT,
+     1, ["1 distinct rows", "m=20"]),
+    ("fewer-samples-than-anchors", lambda: make_rng(4).normal(size=(50, 4)),
+     SMALL_FIT + ["--anchors", "100"], 1, ["n=50", "m=100"]),
+    ("overflowing-features",
+     lambda: make_rng(0).normal(size=(60, 3)) * 1e160,
+     ["--scale", "off", "--clusters", "2", "--anchors", "10", "--layers",
+      "8,4", "--outer-epochs", "1", "--inner-epochs", "5"],
+     1, ["overflow", "e+160"]),
+    ("lr-1000-gd", None, LR_PROBE + ["--optimizer", "gd"],
+     2, ["outer iteration 0, graph refit", "collapsed", "--lr 1000"]),
+    ("lr-1000-adam", None, LR_PROBE + ["--optimizer", "adam"], 0, []),
+    # One step at a huge rate leaves a finite loss but an embedding whose
+    # distances overflow.
+    ("lr-1e80-gd-one-epoch", None,
+     LR_PROBE + ["--optimizer", "gd", "--inner-epochs", "1", "--lr", "1e80"],
+     2, ["outer iteration 0, graph refit", "overflow", "--lr 1e+80"]),
+]
 
 
-def test_fit_fewer_distinct_rows_than_anchors_exit_1(tmp_path, capsys):
-    x = np.repeat(make_rng(1).normal(size=(30, 4)), 10, axis=0)
-    code = main(["fit", "--format", "csv", "--input",
-                 _write_csv(tmp_path / "dup.csv", x), "--clusters", "3",
-                 "--anchors", "100", "--layers", "8,4", "--outer-epochs", "1",
-                 "--inner-epochs", "5"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "30 distinct rows" in err and "m=100" in err
+@pytest.mark.parametrize("data, flags, code, fragments",
+                         [row[1:] for row in PROBES],
+                         ids=[row[0] for row in PROBES])
+def test_fit_probe(tmp_path, capsys, data, flags, code, fragments):
+    """Each probe runs, or exits 1 or 2 with a message naming the setting
+    or the stage, and never prints a traceback."""
+    source = [] if data is None else [
+        "--format", "csv", "--input", _write_csv(tmp_path / "x.csv", data())]
+    assert main(["fit", *source, *flags]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.startswith("fit: ")
+    else:
+        message = err.strip().splitlines()[-1]
+        assert ("runtime failure" in message) == (code == 2), message
+        assert all(f in message for f in fragments), message
 
 
 def test_unknown_flag_exits_1(capsys):

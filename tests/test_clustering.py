@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anchorgae import clustering
 from anchorgae.anchor_graph import (
     AnchorGraph,
     ConnectivitySolveConfig,
@@ -57,11 +58,14 @@ def test_kmeans_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_kmeans_wcss_non_increasing_over_lloyd_iterations():
+def test_kmeans_wcss_non_increasing_over_lloyd_iterations(monkeypatch):
     rng = make_rng(6)
     z = rng.normal(size=(80, 4))
     centers = _kmeans_pp_seed(z, 5, make_rng(7))
-    values = [_lloyd(z, centers.copy(), max_iter=i)[1] for i in range(1, 8)]
+    values = []
+    for i in range(1, 8):
+        monkeypatch.setattr(clustering, "LLOYD_MAX_ITERS", i)
+        values.append(_lloyd(z, centers.copy())[1])
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-9
 

@@ -82,7 +82,8 @@ def test_identity_graph_single_linear_layer_is_xw():
     x = rng.normal(size=(6, 4))
     params = init_params([4, 2], rng)
     g = identity_graph(6)
-    z, cache = conv_forward_samples(g, g.pool(x), params)
+    cache = conv_forward_samples(g, g.pool(x), params)
+    z = cache.out
     assert np.max(np.abs(z - x @ params.layers[0])) < 1e-12
     assert len(cache.inputs) == 1 and len(cache.pre_activation) == 1
 
@@ -97,8 +98,8 @@ def test_factored_matches_dense_oracle_both_branches():
         params = init_params([5, 6, 3], rng)
         _, a, a_t = dense_adjacencies(g.indices, g.weights, g.m)
         p0, a0 = first_layer_inputs(g, x, c)
-        z, _ = conv_forward_samples(g, p0, params)
-        z_t, _ = conv_forward_anchors(g, a0, params)
+        z = conv_forward_samples(g, p0, params).out
+        z_t = conv_forward_anchors(g, a0, params).out
         assert np.max(np.abs(z - dense_gcn_forward(a, x, params))) < 1e-8
         assert np.max(np.abs(z_t - dense_gcn_forward(a_t, c, params))) < 1e-8
 
@@ -130,8 +131,10 @@ def test_given_first_layer_aggregate_is_used_uncopied():
     c = rng.normal(size=(6, 4))
     params = init_params([4, 5, 3], rng)
     p0, a0 = g.pool(x), apply_anchor_adjacency(g, c)
-    z, cache_s = conv_forward_samples(g, p0, params)
-    z_t, cache_a = conv_forward_anchors(g, a0, params)
+    cache_s = conv_forward_samples(g, p0, params)
+    z = cache_s.out
+    cache_a = conv_forward_anchors(g, a0, params)
+    z_t = cache_a.out
     assert cache_s.inputs[0] is p0 and cache_a.inputs[0] is a0
     ref_z, _, _ = aggregated_forward(g, x, params, apply_sample_adjacency)
     ref_zt, _, _ = aggregated_forward(g, c, params, factored_anchor_adjacency)
@@ -146,7 +149,8 @@ def test_sample_layers_match_aggregate_then_multiply_oracle():
         g = random_graph(n, m, k, rng)
         x = rng.normal(size=(n, dims[0]))
         params = init_params(dims, rng)
-        z, cache = conv_forward_samples(g, g.pool(x), params)
+        cache = conv_forward_samples(g, g.pool(x), params)
+        z = cache.out
         ref_z, aggregates, pre = aggregated_forward(g, x, params,
                                                     apply_sample_adjacency)
         assert np.max(np.abs(z - ref_z)) < 1e-12
@@ -166,7 +170,8 @@ def test_relu_kills_all_negative_preactivations():
     w2 = rng.normal(size=(4, 2))
     params = EncoderParams([w1, w2])
     g = identity_graph(5)
-    z, cache = conv_forward_samples(g, g.pool(x), params)
+    cache = conv_forward_samples(g, g.pool(x), params)
+    z = cache.out
     assert np.array_equal(z, np.zeros((5, 2)))
     assert (cache.pre_activation[0] <= 0).all()
 
@@ -178,8 +183,8 @@ def test_siamese_identity_square_graph():
     x = rng.normal(size=(n, 3))
     params = init_params([3, 4, 2], rng)
     p0, a0 = first_layer_inputs(g, x, x)
-    z, _ = conv_forward_samples(g, p0, params)
-    z_t, _ = conv_forward_anchors(g, a0, params)
+    z = conv_forward_samples(g, p0, params).out
+    z_t = conv_forward_anchors(g, a0, params).out
     assert np.max(np.abs(z - z_t)) < 1e-12
 
 
@@ -189,20 +194,10 @@ def test_row_stochastic_smoothing_convex_combination():
     g = random_graph(n, m, k, rng)
     x = rng.normal(size=(n, d))
     params = EncoderParams([np.eye(d)])
-    z, _ = conv_forward_samples(g, g.pool(x), params)
+    z = conv_forward_samples(g, g.pool(x), params).out
     for col in range(d):
         assert z[:, col].min() >= x[:, col].min() - 1e-12
         assert z[:, col].max() <= x[:, col].max() + 1e-12
-
-
-def test_inference_mode_drops_cache():
-    rng = make_rng(9)
-    g = random_graph(10, 4, 2, rng)
-    x = rng.normal(size=(10, 3))
-    params = init_params([3, 2], rng)
-    z, cache = conv_forward_samples(g, g.pool(x), params, keep_cache=False)
-    assert cache is None
-    assert z.shape == (10, 2)
 
 
 def test_dimension_mismatch_errors():

@@ -127,8 +127,9 @@ def test_measure_collapse_uniform_rows_zero_gap():
     idx = np.stack([np.arange(3)] * 5)
     w = np.full((5, 3), 1.0 / 3.0)
     g = AnchorGraph(idx, w, 3)
-    entry = measure_collapse(g, on_support(g, np.full((5, 3), 1.0 / 3.0)))
+    entry = measure_collapse(g, on_support(g, np.full((5, 3), 1.0 / 3.0)), 4)
     assert entry.uniformity_gap == 0.0
+    assert entry.iteration == 4
 
 
 def test_measure_collapse_block_diagonal_components():
@@ -137,7 +138,7 @@ def test_measure_collapse_block_diagonal_components():
     w = np.ones((6, 1))
     g = AnchorGraph(idx, w, 3)
     q = g.csr().toarray()
-    entry = measure_collapse(g, on_support(g, q))
+    entry = measure_collapse(g, on_support(g, q), 0)
     edges = [(i, int(idx[i, 0])) for i in range(6)]
     assert entry.component_count == union_find_components(6, 3, edges) == 3
 
@@ -146,7 +147,7 @@ def test_measure_collapse_reconstruction_gap_zero_when_exact():
     idx = np.array([[0, 1], [1, 2]])
     w = np.array([[0.6, 0.4], [0.3, 0.7]])
     g = AnchorGraph(idx, w, 3)
-    entry = measure_collapse(g, on_support(g, g.csr().toarray()))
+    entry = measure_collapse(g, on_support(g, g.csr().toarray()), 0)
     assert entry.reconstruction_gap == 0.0
     assert entry.k == 2
 
@@ -158,7 +159,7 @@ def test_measure_collapse_random_components_vs_oracle():
     w = rng.random((n, k)) + 0.05
     w /= w.sum(axis=1, keepdims=True)
     g = AnchorGraph(idx, w, m)
-    entry = measure_collapse(g, on_support(g, rng.random((n, m))))
+    entry = measure_collapse(g, on_support(g, rng.random((n, m))), 0)
     edges = [(i, int(j)) for i in range(n) for j in idx[i]]
     assert entry.component_count == union_find_components(n, m, edges)
 
@@ -278,13 +279,16 @@ def count_layer0_products(monkeypatch, d_in):
     inputs (layer 0 only, when no hidden width equals d_in), split by
     whether they run inside pipeline's call to train, inside a graph fit or
     pullback (where pooling x is how the anchor inputs are made), or
-    elsewhere."""
+    elsewhere. Also returns the positional arguments of each call pipeline
+    makes to train, fit_anchor_graph, pullback_anchors and
+    measure_collapse, by name."""
     import anchorgae.convolution as convolution
     import anchorgae.pipeline as pipeline
 
     counts = {(op, where): 0 for op in ("pool", "aggregate")
               for where in ("train", "fit", "other")}
     where = ["other"]
+    calls = {}
 
     def count(op, h):
         if h.shape[1] == d_in:
@@ -302,28 +306,50 @@ def count_layer0_products(monkeypatch, d_in):
     for mod in (convolution, pipeline):
         monkeypatch.setattr(mod, "apply_anchor_adjacency", counted_aggregate)
     for name, label in (("train", "train"), ("fit_anchor_graph", "fit"),
-                        ("pullback_anchors", "fit")):
+                        ("pullback_anchors", "fit"),
+                        ("measure_collapse", "other")):
+        calls[name] = []
+
         def flagged(*args, _orig=getattr(pipeline, name), _label=label,
-                    **kwargs):
+                    _calls=calls[name], **kwargs):
+            _calls.append(args)
             where[0] = _label
             try:
                 return _orig(*args, **kwargs)
             finally:
                 where[0] = "other"
         monkeypatch.setattr(pipeline, name, flagged)
-    return counts
+    return counts, calls
 
 
-@pytest.mark.parametrize("mode, graphs", [("full", 3), ("fixed_b", 1)])
+ROUND_CASES = [(mode, rounds) for mode in pipeline.MODES
+               for rounds in (0, 1, 3)]
+
+
+@pytest.mark.parametrize("mode, rounds", ROUND_CASES,
+                         ids=[f"{mode}-{rounds}" for mode, rounds in ROUND_CASES])
 def test_layer0_aggregated_once_per_graph_not_per_epoch(monkeypatch, mode,
-                                                        graphs):
+                                                        rounds):
     x, _ = scaled_blobs(n=200, d=7)
-    counts = count_layer0_products(monkeypatch, d_in=7)
-    run_anchorgae(x, quick_config(anchors=20, hidden_dims=(6, 4),
-                                  outer_epochs=2, inner_epochs=5, mode=mode))
-    # One anchor-side aggregation per graph fit. The sample side's pooled
+    counts, calls = count_layer0_products(monkeypatch, d_in=7)
+    # n_s = n puts k_m at m - 1 = 19, so k climbs by 16 // rounds per refit.
+    result = run_anchorgae(x, quick_config(
+        anchors=20, hidden_dims=(6, 4), outer_epochs=rounds, inner_epochs=5,
+        mode=mode, n_s=200))
+    refits = 0 if mode == "fixed_b" else rounds
+    step = 0 if mode == "fixed_k" else 16 // max(rounds, 1)
+    # Every round but the last trains, and zero rounds still train once;
+    # every round but the last refits, except with the graph frozen.
+    assert len(calls["train"]) == max(rounds, 1)
+    assert len(calls["fit_anchor_graph"]) == 1 + refits
+    assert [args[2].k for args in calls["fit_anchor_graph"]] == \
+        [3] + [3 + t * step for t in range(refits)]
+    assert len(calls["pullback_anchors"]) == 1 + refits
+    assert [args[2] for args in calls["measure_collapse"]] == \
+        [e.iteration for e in result.diagnostics] == list(range(rounds + 1))
+    # One anchor-side aggregation per graph. The sample side's pooled
     # input is the pullback's, so x is pooled nowhere else.
-    assert counts["aggregate", "other"] == graphs
+    assert counts["aggregate", "other"] == 1 + refits
     assert counts["aggregate", "train"] == counts["aggregate", "fit"] == 0
     assert counts["pool", "train"] == counts["pool", "other"] == 0
     assert counts["pool", "fit"] > 0
@@ -341,17 +367,15 @@ def test_sample_side_first_input_is_the_anchor_input(monkeypatch, mode):
     # Graphs by id; holding them keeps a freed graph's id from being reused.
     checked = {"samples": {}, "anchors": {}}
 
-    def checking(g, p0, params, keep_cache=True,
-                 _orig=pipeline.conv_forward_samples):
+    def checking(g, p0, params, _orig=pipeline.conv_forward_samples):
         assert np.array_equal(p0, g.pool(x))
         checked["samples"][id(g)] = g
-        return _orig(g, p0, params, keep_cache)
+        return _orig(g, p0, params)
 
-    def checking_anchors(g, a0, params, keep_cache=True,
-                         _orig=pipeline.conv_forward_anchors):
+    def checking_anchors(g, a0, params, _orig=pipeline.conv_forward_anchors):
         assert np.array_equal(a0, g.anchor_adjacency() @ g.pool(x))
         checked["anchors"][id(g)] = g
-        return _orig(g, a0, params, keep_cache)
+        return _orig(g, a0, params)
 
     for mod in (pipeline, training):
         monkeypatch.setattr(mod, "conv_forward_samples", checking)

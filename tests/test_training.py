@@ -167,8 +167,8 @@ def test_backward_zero_at_exact_reconstruction(monkeypatch):
     rng = make_rng(53)
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
-    _, cache_s = conv_forward_samples(g, p0, params)
-    _, cache_a = conv_forward_anchors(g, a0, params)
+    cache_s = conv_forward_samples(g, p0, params)
+    cache_a = conv_forward_anchors(g, a0, params)
     q = g.csr().toarray()  # q identical to p => residual vanishes
     blocks = row_blocks(g.n, g.m)
     monkeypatch.setattr(training, "decode",
@@ -183,13 +183,13 @@ def test_backward_matches_central_differences():
     for trial in range(3):
         g, x, c, params = random_instance(rng)
         p0, a0 = first_layer_inputs(g, x, c)
-        _, cache_s = conv_forward_samples(g, p0, params)
-        _, cache_a = conv_forward_anchors(g, a0, params)
+        cache_s = conv_forward_samples(g, p0, params)
+        cache_a = conv_forward_anchors(g, a0, params)
         grads, _ = backward(g, cache_s, cache_a, params)
 
         def value():
-            z2, _ = conv_forward_samples(g, p0, params, keep_cache=False)
-            zt2, _ = conv_forward_anchors(g, a0, params, keep_cache=False)
+            z2 = conv_forward_samples(g, p0, params).out
+            zt2 = conv_forward_anchors(g, a0, params).out
             return loss(g, on_support(g, decode(z2, zt2)))
 
         refs = numerical_grads(value, params)
@@ -202,7 +202,7 @@ def test_branch_backprop_linear_in_upstream():
     rng = make_rng(55)
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
-    _, cache_s = conv_forward_samples(g, p0, params)
+    cache_s = conv_forward_samples(g, p0, params)
     upstream = rng.normal(size=cache_s.out.shape)
     g1 = sample_branch_grads(g, cache_s, params, upstream)
     g2 = sample_branch_grads(g, cache_s, params, 3.0 * upstream)
@@ -216,8 +216,10 @@ def test_backward_sums_both_siamese_branches():
     rng = make_rng(56)
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
-    z, cache_s = conv_forward_samples(g, p0, params)
-    z_t, cache_a = conv_forward_anchors(g, a0, params)
+    cache_s = conv_forward_samples(g, p0, params)
+    z = cache_s.out
+    cache_a = conv_forward_anchors(g, a0, params)
+    z_t = cache_a.out
     q = decode(z, z_t)
     total, _ = backward(g, cache_s, cache_a, params)
 
@@ -237,8 +239,8 @@ def test_backward_rejects_stale_cache():
     rng = make_rng(57)
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
-    _, cache_s = conv_forward_samples(g, p0, params)
-    _, cache_a = conv_forward_anchors(g, a0, params)
+    cache_s = conv_forward_samples(g, p0, params)
+    cache_a = conv_forward_anchors(g, a0, params)
     bigger = init_params([5, 4, 3, 3], make_rng(58))
     with pytest.raises(ValueError, match="cache"):
         backward(g, cache_s, cache_a, bigger)
@@ -274,8 +276,10 @@ def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
                           np.arange(g.n))
 
     p0, a0 = first_layer_inputs(g, x, c)
-    z, cache_s = conv_forward_samples(g, p0, params)
-    z_t, cache_a = conv_forward_anchors(g, a0, params)
+    cache_s = conv_forward_samples(g, p0, params)
+    z = cache_s.out
+    cache_a = conv_forward_anchors(g, a0, params)
+    z_t = cache_a.out
     grad_z, grad_zt, q_sup = _decoder_grads(g, z, z_t)
     ref_z, ref_zt, ref_q = whole_matrix_decoder_grads(g, z, z_t)
     assert_close(grad_z, ref_z)
@@ -345,8 +349,10 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
     c = rng.normal(size=(m, 4))
     params = init_params([4, 3, 2], rng)
     p0, a0 = first_layer_inputs(g, x, c)
-    z, cache_s = conv_forward_samples(g, p0, params)
-    z_t, cache_a = conv_forward_anchors(g, a0, params)
+    cache_s = conv_forward_samples(g, p0, params)
+    z = cache_s.out
+    cache_a = conv_forward_anchors(g, a0, params)
+    z_t = cache_a.out
     n_by_m_bytes = n * m * 8
 
     assert peak_bytes(lambda: backward(g, cache_s, cache_a, params)) \
@@ -395,9 +401,9 @@ def test_train_zero_learning_rate_is_noop():
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
     before = [w.copy() for w in params.layers]
-    _, trace = train(g, p0, a0, params, TrainConfig(inner_epochs=5,
-                                                    learning_rate=0.0,
-                                                    optimizer="gd"))
+    trace = train(g, p0, a0, params, TrainConfig(inner_epochs=5,
+                                                 learning_rate=0.0,
+                                                 optimizer="gd"))
     for w, orig in zip(params.layers, before):
         assert np.array_equal(w, orig)
     assert np.allclose(trace, trace[0])
@@ -407,9 +413,9 @@ def test_train_gd_descends_on_smooth_instance():
     rng = make_rng(60)
     g, x, c, params = random_instance(rng, n=20, m=5, k=2)
     p0, a0 = first_layer_inputs(g, x, c)
-    _, trace = train(g, p0, a0, params, TrainConfig(inner_epochs=40,
-                                                    learning_rate=1e-3,
-                                                    optimizer="gd"))
+    trace = train(g, p0, a0, params, TrainConfig(inner_epochs=40,
+                                                 learning_rate=1e-3,
+                                                 optimizer="gd"))
     assert trace[-1] < trace[0]
     head = trace[:10]
     assert all(b <= a + 1e-9 for a, b in zip(head, head[1:]))
@@ -419,7 +425,7 @@ def test_train_adam_reduces_loss():
     rng = make_rng(61)
     g, x, c, params = random_instance(rng, n=25, m=6, k=2)
     p0, a0 = first_layer_inputs(g, x, c)
-    _, trace = train(g, p0, a0, params, TrainConfig(inner_epochs=60))
+    trace = train(g, p0, a0, params, TrainConfig(inner_epochs=60))
     assert trace[-1] < trace[0]
     assert (trace >= 0).all() and np.isfinite(trace).all()
 
@@ -429,7 +435,7 @@ def test_train_deterministic_given_seed():
         rng = make_rng(62)
         g, x, c, params = random_instance(rng)
         p0, a0 = first_layer_inputs(g, x, c)
-        _, trace = train(g, p0, a0, params, TrainConfig(inner_epochs=15))
+        trace = train(g, p0, a0, params, TrainConfig(inner_epochs=15))
         return trace, [w.copy() for w in params.layers]
 
     t1, w1 = one_run()
@@ -481,7 +487,7 @@ def test_train_hoisted_aggregates_match_reaggregating_loop():
     p0, a0 = first_layer_inputs(g, x, c)
     ref_params = copy_params(params)
     cfg = TrainConfig(inner_epochs=3, learning_rate=1e-2)
-    _, trace = train(g, p0, a0, params, cfg)
+    trace = train(g, p0, a0, params, cfg)
     ref_trace = reaggregating_train(g, x, c, ref_params, cfg)
     assert np.max(np.abs(trace - ref_trace)) < 1e-10
     for w, ref in zip(params.layers, ref_params.layers):
