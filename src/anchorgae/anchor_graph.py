@@ -26,6 +26,10 @@ FIT_MAX_ITERS = 15
 FIT_TOL = 1e-6
 
 
+class DistanceOverflow(ValueError):
+    """A fit's squared distances overflow float64."""
+
+
 def _dead_anchors(indices: np.ndarray, weights: np.ndarray, m: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Anchor degrees (column sums of B) and the ids of the anchors whose
@@ -264,14 +268,15 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
 
     # Later anchors are sample means or samples, so inputs that pass this
     # check do not overflow later; checked once, not per iteration, and
-    # reported by the error below rather than by numpy's warnings.
+    # reported by the error below rather than by numpy's warnings. The
+    # error states the fact only: the remedy depends on what x is.
     with np.errstate(over="ignore", invalid="ignore"):
         dists = pairwise_sq_dist(x, anchors)
     if not np.all(np.isfinite(dists)):
         scale = max(np.max(np.abs(x)), np.max(np.abs(anchors)))
-        raise ValueError(
+        raise DistanceOverflow(
             f"squared distances overflow float64: the largest |feature| is "
-            f"{scale:.3g}; rescale the input (e.g. min-max scaling)")
+            f"{scale:.3g}")
     prev_obj = None
     for _ in range(cfg.max_iters):
         # Dead anchors would make delta singular; re-seed and re-solve.

@@ -9,11 +9,14 @@ m x m anchor matrices, never on n x n sample matrices.
 import numpy as np
 
 # Entries per row block (a row is never split): 2**16 float64 is 512 KiB
-# per block array. The distances, the decoder and the graph fit's row
-# solve run over these blocks. On two cores, the decoder (n=3000-20000,
-# m=200-256, d=64) times alike from 2**15 to 2**18 and is up to 1.6x slower
-# at 2**12; the row solve (n=3000, m=256) times alike from 2**14 to 2**20
-# and is 1.3x slower at 2**12.
+# per block array. The distances, both decoder passes and the graph fit's
+# row solve run over these blocks; the factored decoder pass takes at least
+# m rows per block. On two cores (fastest of 9, one sweep), the dense
+# decoder pass (n=3000-20000, m=200-500, e=64) is fastest at 2**16, up to
+# 1.3x slower at 2**15 and 2**17-2**18 and up to 2.5x slower at 2**12; the
+# factored pass times alike from 2**12 to 2**17 and read 2x slower at 2**18
+# at n=3000, m=200; the row solve (n=3000, m=256) times alike from 2**14 to
+# 2**20 and is 1.3x slower at 2**12.
 BLOCK_ENTRIES = 2 ** 16
 
 
@@ -43,10 +46,10 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def row_blocks(n: int, m: int):
+def row_blocks(n: int, m: int, min_rows: int = 1):
     """Consecutive row slices covering range(n), each of at most
-    max(1, BLOCK_ENTRIES // m) rows."""
-    step = max(1, BLOCK_ENTRIES // m)
+    max(min_rows, BLOCK_ENTRIES // m) rows."""
+    step = max(min_rows, BLOCK_ENTRIES // m)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 

@@ -9,9 +9,9 @@ uniformity gap, component count, reconstruction gap) make that failure mode
 observable, and the ablation modes reproduce it on demand.
 
 The per-round snapshot needs the reconstruction only on the graph support:
-training.decode_on_support decodes the embeddings over the training
-decoder's row blocks (sized by the constant numerics.BLOCK_ENTRIES)
-and keeps those n x k entries, so no n x m array is held here either.
+training.decode_on_support decodes the embeddings over the dense decoder
+pass's row blocks (sized by the constant numerics.BLOCK_ENTRIES) and keeps
+those n x k entries, so no n x m array is held here either.
 """
 
 from contextlib import contextmanager
@@ -25,6 +25,7 @@ from .anchor_graph import (
     FIT_MAX_ITERS,
     AnchorGraph,
     ConnectivitySolveConfig,
+    DistanceOverflow,
     fit_anchor_graph,
     init_anchors,
 )
@@ -189,7 +190,8 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     epochs and embeddings: p0 = pullback_anchors(x, g) = g.pool(x), the
     graph's anchors in input space, and a0 = apply_anchor_adjacency(g, p0).
     A failed training or refit raises PipelineStageError naming the round;
-    the initial fit's ValueError (a bad input) passes through.
+    the initial fit's ValueError (a bad input) passes through, and an
+    input whose distances overflow is told to rescale.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -205,10 +207,14 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
         config.k0, config.anchors, n, n_s, config.outer_epochs)
     k = config.k0
 
-    g = fit_anchor_graph(
-        x, init_anchors(x, config.anchors, rng_anchor),
-        ConnectivitySolveConfig(k, config.fit_max_iters),
-        uniform_rows=uniform_rows)
+    try:
+        g = fit_anchor_graph(
+            x, init_anchors(x, config.anchors, rng_anchor),
+            ConnectivitySolveConfig(k, config.fit_max_iters),
+            uniform_rows=uniform_rows)
+    except DistanceOverflow as exc:
+        raise ValueError(
+            f"{exc}; rescale the input (e.g. min-max scaling)") from exc
     params = init_params([x.shape[1], *config.hidden_dims], rng_params)
 
     diagnostics, loss_traces, iteration_graphs = [], [], []

@@ -8,11 +8,24 @@ Gradients are hand-derived: the softmax/cross-entropy pair collapses to
 (reconstruction - target) on the distance logits, and both siamese branches
 accumulate into the shared weights.
 
-No n x m array is ever held. The decoder runs over blocks of rows
-(numerics.row_blocks; the block size is the constant
-numerics.BLOCK_ENTRIES, in entries): each block's softmax is turned into
-its residual in place and added to the embedding gradients, and only its
-entries on the graph support (n x k) are kept, for the loss.
+No n x m array is ever held. The decoder has two passes over blocks of
+rows, both returning the gradient w.r.t. y, the sample branch's top m-row
+product (z = B y), and keeping only the reconstruction's entries on the
+graph support (n x k), for the loss.
+
+- The dense pass decodes each block from the distances (decode, over
+  numerics.row_blocks of numerics.BLOCK_ENTRIES entries), turns its
+  softmax into its residual in place and adds it to the embedding
+  gradients through three n x m x e products.
+- The factored pass uses z = B y and B's unit row sums: the logits are
+  B C up to a per-row constant, with C = 2 y t^T - 1 |t|^2^T (m x m), and
+  the residual taken through B^T is the m x m matrix B^T q - B^T B. Each
+  row then costs two sparse products of k m in place of three dense ones
+  of e m, and the gradients come from m x m products.
+
+The sparse products slow down as k and m grow, so the factored pass runs
+only when k sqrt(m) <= FACTORED_K_ROOT_M_PER_WIDTH * e, for embedding
+width e.
 """
 
 import warnings
@@ -20,6 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from .anchor_graph import AnchorGraph
 from .convolution import (
@@ -33,6 +47,15 @@ from .convolution import (
 from .numerics import pairwise_sq_dist, row_blocks
 
 Q_FLOOR = 1e-300
+
+# The decoder runs its factored pass when
+# k sqrt(m) <= FACTORED_K_ROOT_M_PER_WIDTH * e (sparsity k, m anchors,
+# embedding width e), its dense pass otherwise. Decoder timings at
+# n = 10000, m = 100-1000, k = 2-40 on two cores put the crossover near
+# k sqrt(m) = 3-4 e at e = 64 and 128; at e = 16 the factored pass stays
+# ahead somewhat past the bound. The crossover k m grows with m, so a
+# bound on k m fits no single constant.
+FACTORED_K_ROOT_M_PER_WIDTH = 3.5
 
 # Adam moment decay rates and denominator offset.
 ADAM_BETA1 = 0.9
@@ -104,38 +127,70 @@ def loss(p: AnchorGraph, q_sup: np.ndarray) -> float:
 
 
 def _branch_grads(cache: ForwardCache, params: EncoderParams,
-                  grad_out: np.ndarray, spread_t, gather_t) -> list[np.ndarray]:
+                  grad_top: np.ndarray, spread_t, gather_t) -> list[np.ndarray]:
     """Backprop one branch whose layers compute s_l = spread(gather(h_l) @ W_l)
     (convolution._forward); spread_t and gather_t apply the transposes of
-    spread and gather. Returns per-layer weight gradients."""
+    spread and gather. grad_top is the gradient w.r.t. the top layer's m-row
+    product gather(h_L) @ W_L, so spread_t runs only below the top layer.
+    Returns per-layer weight gradients."""
     n_layers = len(params.layers)
-    if len(cache.inputs) != n_layers or len(cache.pre_activation) != n_layers:
-        raise ValueError("cache does not match params (stale forward?)")
     grads = [None] * n_layers
-    grad = grad_out
+    grad = grad_top
     for l in range(n_layers - 1, -1, -1):
-        if cache.pre_activation[l].shape != grad.shape:
-            raise ValueError("cache does not match gradient shapes (stale forward?)")
         if l < n_layers - 1:
-            # ReLU, in place: the last layer is linear, so grad is an array
-            # made here, never the caller's grad_out.
+            if cache.pre_activation[l].shape != grad.shape:
+                raise ValueError(
+                    "cache does not match gradient shapes (stale forward?)")
+            # ReLU, in place: grad is an array made here by gather_t, never
+            # the caller's grad_top.
             np.multiply(grad, cache.pre_activation[l] > 0.0, out=grad)
-        grad = spread_t(grad)
+            grad = spread_t(grad)
         grads[l] = cache.inputs[l].T @ grad
         if l > 0:
             grad = gather_t(grad @ params.layers[l].T)
     return grads
 
 
-def _decoder_grads(g: AnchorGraph, z: np.ndarray, z_t: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the loss w.r.t. both embeddings, and the reconstruction
-    on the graph support: (grad_z, grad_zt, q_sup), one pass over row
-    blocks.
+def _factored(g: AnchorGraph, width: int) -> bool:
+    """The rule between the decoder's two passes: factored when
+    k sqrt(m) <= FACTORED_K_ROOT_M_PER_WIDTH * width, for embedding width
+    `width`."""
+    return g.k * np.sqrt(g.m) <= FACTORED_K_ROOT_M_PER_WIDTH * width
+
+
+def _factored_blocks(g: AnchorGraph) -> list[tuple[slice, sp.csr_matrix]]:
+    """g's rows as (rows, CSR of B[rows]) blocks for the factored pass, each
+    of at least m rows, so that adding a block's m x m product to the
+    residual costs no more than one sweep over the block. A block holds
+    max(BLOCK_ENTRIES, m^2) entries."""
+    k = g.k
+    blocks = []
+    for rows in row_blocks(g.n, g.m, min_rows=g.m):
+        n_rows = rows.stop - rows.start
+        indptr = np.arange(0, (n_rows + 1) * k, k, dtype=np.int64)
+        blocks.append((rows, sp.csr_matrix(
+            (g.weights[rows].ravel(), g.indices[rows].ravel(), indptr),
+            shape=(n_rows, g.m))))
+    return blocks
+
+
+def _decode_logits(logits: np.ndarray) -> np.ndarray:
+    """Row softmax of logits, in place; each row is shifted by its max."""
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logits)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _dense_decoder_grads(g: AnchorGraph, z: np.ndarray, z_t: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense pass of _decoder_grads, over row blocks of the n x m
+    distances.
 
     d loss / d distance = p - q; distances differentiate into the
     embeddings as +/- 2 (z_i - zt_j). Row sums of q - p vanish, column sums
-    do not. Each block's q becomes q - p in place.
+    do not. Each block's q becomes q - p in place. The gradient w.r.t. z is
+    taken to y through B^T at the end.
     """
     grad_z = np.empty_like(z)
     diff_t_z = np.zeros_like(z_t)
@@ -151,26 +206,78 @@ def _decoder_grads(g: AnchorGraph, z: np.ndarray, z_t: np.ndarray
         col_sums += diff.sum(axis=0)
     grad_z *= 2.0
     grad_zt = 2.0 * diff_t_z - 2.0 * col_sums[:, None] * z_t
-    return grad_z, grad_zt, q_sup
+    return g.bt_dot(grad_z), grad_zt, q_sup
+
+
+def _factored_decoder_grads(g: AnchorGraph, y: np.ndarray, z_t: np.ndarray,
+                            blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factored pass of _decoder_grads, through m x m matrices.
+
+    Since z = B y and B's rows sum to 1, the logits -|z_i - t_j|^2 equal
+    (B C)_ij up to a per-row constant, with C = 2 y t^T - 1 |t|^2^T; the
+    target is B itself, so the residual taken through B^T is
+    E = B^T (q - B) = sum over blocks of B_blk^T q_blk, minus the Gram
+    B^T B = diag(delta) times the anchor adjacency. Then B^T dloss/dz = 2 E t, and dloss/dt = 2 E^T y -
+    2 diag(1^T E) t. blocks is _factored_blocks(g).
+    """
+    c = y @ z_t.T
+    c *= 2.0
+    c -= np.einsum("ij,ij->i", z_t, z_t)
+    # B^T B from the cached anchor adjacency diag(1/delta) B^T B, in C order
+    # as each block's product is: the adjacency is Fortran-ordered, and
+    # adding a C-ordered block into a Fortran array strides across rows
+    # (up to 2x slower passes at m = 256 and 512).
+    resid = np.multiply(g.anchor_adjacency(), -g.delta[:, None], order="C")
+    q_sup = np.empty_like(g.weights)
+    for rows, b in blocks:
+        q = _decode_logits(b @ c)
+        q_sup[rows] = np.take_along_axis(q, g.indices[rows], axis=1)
+        resid += b.T @ q
+    grad_y = 2.0 * (resid @ z_t)
+    grad_zt = 2.0 * (resid.T @ y) - 2.0 * resid.sum(axis=0)[:, None] * z_t
+    return grad_y, grad_zt, q_sup
+
+
+def _decoder_grads(g: AnchorGraph, y: np.ndarray, z: np.ndarray,
+                   z_t: np.ndarray, blocks=None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the loss w.r.t. y, the sample branch's top m-row
+    product (z = B y), and w.r.t. z_t, and the reconstruction on the graph
+    support: (grad_y, grad_zt, q_sup). _factored picks the pass; the
+    factored one uses blocks (_factored_blocks(g)), formed here if None.
+    """
+    if not _factored(g, z.shape[1]):
+        return _dense_decoder_grads(g, z, z_t)
+    if blocks is None:
+        blocks = _factored_blocks(g)
+    return _factored_decoder_grads(g, y, z_t, blocks)
 
 
 def backward(g: AnchorGraph, sample_cache: ForwardCache,
-             anchor_cache: ForwardCache, params: EncoderParams,
+             anchor_cache: ForwardCache, params: EncoderParams, blocks=None,
              ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradient of the reconstruction loss w.r.t. every shared weight matrix,
     and the reconstruction on the graph support that loss() takes.
 
     The target distribution is g's connectivity rows. Both branches
     contribute. On the sample side layer l computes B (P_l W_l), with
-    P_l = diag(1/delta) B^T h_l cached by the forward pass, so its gradient
-    g_l goes through B^T once: u = B^T g_l gives the weight gradient
-    P_l^T u and, through B diag(1/delta) (u W_l^T), the gradient of the
-    layer below; every dense product has m rows. The anchor side needs the
-    explicit transpose of its adjacency.
+    P_l = diag(1/delta) B^T h_l cached by the forward pass. The decoder
+    hands back the gradient w.r.t. the top product y = P_L W_L; below it
+    each layer's gradient g_l goes through B^T once: u = B^T g_l gives the
+    weight gradient P_l^T u and, through B diag(1/delta) (u W_l^T), the
+    gradient of the layer below; every dense product has m rows. The
+    anchor side needs the explicit transpose of its adjacency. blocks is
+    passed on to _decoder_grads.
     """
-    grad_z, grad_zt, q_sup = _decoder_grads(g, sample_cache.out,
-                                            anchor_cache.out)
-    grads_s = _branch_grads(sample_cache, params, grad_z, g.bt_dot,
+    n_layers = len(params.layers)
+    for cache in (sample_cache, anchor_cache):
+        if (len(cache.inputs) != n_layers
+                or len(cache.pre_activation) != n_layers):
+            raise ValueError("cache does not match params (stale forward?)")
+    y = sample_cache.inputs[-1] @ params.layers[-1]
+    grad_y, grad_zt, q_sup = _decoder_grads(g, y, sample_cache.out,
+                                            anchor_cache.out, blocks)
+    grads_s = _branch_grads(sample_cache, params, grad_y, g.bt_dot,
                             partial(pool_t, g))
     grads_a = _branch_grads(anchor_cache, params, grad_zt, lambda h: h,
                             partial(apply_anchor_adjacency_t, g))
@@ -188,12 +295,14 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
     change between epochs.
     """
     trace = np.empty(cfg.inner_epochs)
+    blocks = (_factored_blocks(g)
+              if _factored(g, params.layers[-1].shape[1]) else None)
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(cfg.inner_epochs):
         cache_s = conv_forward_samples(g, p0, params)
         cache_a = conv_forward_anchors(g, a0, params)
-        grads, q_sup = backward(g, cache_s, cache_a, params)
+        grads, q_sup = backward(g, cache_s, cache_a, params, blocks)
         value = loss(g, q_sup)
         if not np.isfinite(value):
             raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")

@@ -95,43 +95,44 @@ SMALL_FIT = ["--clusters", "3", "--anchors", "20", "--layers", "8,4",
              "--outer-epochs", "2", "--inner-epochs", "5"]
 
 # Hostile inputs and settings: (id, csv data or None, flags, exit code,
-# fragments the message must hold). Exit 1 is a bad input or setting,
-# exit 2 a stage that failed after training.
+# fragments the message must hold, fragments it must not hold). Exit 1 is
+# a bad input or setting, exit 2 a stage that failed after training.
 PROBES = [
     ("constant-column", lambda: np.column_stack(
         [make_rng(2).normal(size=(200, 3)), np.full(200, 5.0)]),
-     SMALL_FIT, 0, []),
+     SMALL_FIT, 0, [], []),
     ("single-feature", lambda: make_rng(3).normal(size=(200, 1)),
-     SMALL_FIT, 0, []),
+     SMALL_FIT, 0, [], []),
     ("duplicated-rows",
      lambda: np.repeat(make_rng(1).normal(size=(30, 4)), 10, axis=0),
      ["--clusters", "3", "--anchors", "100", "--layers", "8,4",
       "--outer-epochs", "1", "--inner-epochs", "5"],
-     1, ["30 distinct rows", "m=100"]),
+     1, ["30 distinct rows", "m=100"], []),
     ("identical-rows", lambda: np.ones((200, 3)), SMALL_FIT,
-     1, ["1 distinct rows", "m=20"]),
+     1, ["1 distinct rows", "m=20"], []),
     ("fewer-samples-than-anchors", lambda: make_rng(4).normal(size=(50, 4)),
-     SMALL_FIT + ["--anchors", "100"], 1, ["n=50", "m=100"]),
+     SMALL_FIT + ["--anchors", "100"], 1, ["n=50", "m=100"], []),
     ("overflowing-features",
      lambda: make_rng(0).normal(size=(60, 3)) * 1e160,
      ["--scale", "off", "--clusters", "2", "--anchors", "10", "--layers",
       "8,4", "--outer-epochs", "1", "--inner-epochs", "5"],
-     1, ["overflow", "e+160"]),
+     1, ["overflow", "e+160", "rescale the input"], []),
     ("lr-1000-gd", None, LR_PROBE + ["--optimizer", "gd"],
-     2, ["outer iteration 0, graph refit", "collapsed", "--lr 1000"]),
-    ("lr-1000-adam", None, LR_PROBE + ["--optimizer", "adam"], 0, []),
+     2, ["outer iteration 0, graph refit", "collapsed", "--lr 1000"], []),
+    ("lr-1000-adam", None, LR_PROBE + ["--optimizer", "adam"], 0, [], []),
     # One step at a huge rate leaves a finite loss but an embedding whose
-    # distances overflow.
+    # distances overflow; the input is not at fault, so no rescale advice.
     ("lr-1e80-gd-one-epoch", None,
      LR_PROBE + ["--optimizer", "gd", "--inner-epochs", "1", "--lr", "1e80"],
-     2, ["outer iteration 0, graph refit", "overflow", "--lr 1e+80"]),
+     2, ["outer iteration 0, graph refit", "overflow", "--lr 1e+80"],
+     ["rescale"]),
 ]
 
 
-@pytest.mark.parametrize("data, flags, code, fragments",
+@pytest.mark.parametrize("data, flags, code, fragments, absent",
                          [row[1:] for row in PROBES],
                          ids=[row[0] for row in PROBES])
-def test_fit_probe(tmp_path, capsys, data, flags, code, fragments):
+def test_fit_probe(tmp_path, capsys, data, flags, code, fragments, absent):
     """Each probe runs, or exits 1 or 2 with a message naming the setting
     or the stage, and never prints a traceback."""
     source = [] if data is None else [
@@ -145,6 +146,7 @@ def test_fit_probe(tmp_path, capsys, data, flags, code, fragments):
         message = err.strip().splitlines()[-1]
         assert ("runtime failure" in message) == (code == 2), message
         assert all(f in message for f in fragments), message
+        assert not any(f in message for f in absent), message
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -158,9 +158,26 @@ def test_loss_shape_check():
 
 # --------------------------------------------------------------- backward
 
+# The decoder's rule constant forcing each pass: k sqrt(m) <= 0 never
+# holds, k sqrt(m) <= inf always does.
+PASSES = {"dense": 0, "factored": np.inf}
+
+
+def each_pass(monkeypatch):
+    """Yield each decoder pass's name with the rule forced to pick it."""
+    for name, bound in PASSES.items():
+        monkeypatch.setattr(training, "FACTORED_K_ROOT_M_PER_WIDTH", bound)
+        yield name
+
+
 def sample_branch_grads(g, cache, params, grad_z):
-    return _branch_grads(cache, params, grad_z, g.bt_dot,
+    return _branch_grads(cache, params, g.bt_dot(grad_z), g.bt_dot,
                          lambda h: pool_t(g, h))
+
+
+def top_product(cache, params):
+    """y, the sample branch's top m-row product; its output z is B y."""
+    return cache.inputs[-1] @ params.layers[-1]
 
 
 def test_backward_zero_at_exact_reconstruction(monkeypatch):
@@ -170,22 +187,32 @@ def test_backward_zero_at_exact_reconstruction(monkeypatch):
     cache_s = conv_forward_samples(g, p0, params)
     cache_a = conv_forward_anchors(g, a0, params)
     q = g.csr().toarray()  # q identical to p => residual vanishes
-    blocks = row_blocks(g.n, g.m)
-    monkeypatch.setattr(training, "decode",
-                        lambda z, z_t: q[next(blocks)].copy())
-    grads, _ = backward(g, cache_s, cache_a, params)
-    for grad in grads:
-        assert np.max(np.abs(grad)) < 1e-12
+
+    for _ in each_pass(monkeypatch):
+        done = [0]
+
+        def exact_block(block, *_):
+            # Stands in for both passes' block decoders (decode on the
+            # dense side, _decode_logits on the factored side).
+            rows = slice(done[0], done[0] + block.shape[0])
+            done[0] = rows.stop
+            return q[rows].copy()
+
+        monkeypatch.setattr(training, "decode", exact_block)
+        monkeypatch.setattr(training, "_decode_logits", exact_block)
+        grads, _ = backward(g, cache_s, cache_a, params)
+        assert done[0] == g.n
+        for grad in grads:
+            assert np.max(np.abs(grad)) < 1e-12
 
 
-def test_backward_matches_central_differences():
+def test_backward_matches_central_differences(monkeypatch):
     rng = make_rng(54)
     for trial in range(3):
         g, x, c, params = random_instance(rng)
         p0, a0 = first_layer_inputs(g, x, c)
         cache_s = conv_forward_samples(g, p0, params)
         cache_a = conv_forward_anchors(g, a0, params)
-        grads, _ = backward(g, cache_s, cache_a, params)
 
         def value():
             z2 = conv_forward_samples(g, p0, params).out
@@ -193,9 +220,11 @@ def test_backward_matches_central_differences():
             return loss(g, on_support(g, decode(z2, zt2)))
 
         refs = numerical_grads(value, params)
-        for analytic, ref in zip(grads, refs):
-            scale = np.maximum(np.abs(analytic) + np.abs(ref), 1e-8)
-            assert np.max(np.abs(analytic - ref) / scale) < 1e-4
+        for _ in each_pass(monkeypatch):
+            grads, _ = backward(g, cache_s, cache_a, params)
+            for analytic, ref in zip(grads, refs):
+                scale = np.maximum(np.abs(analytic) + np.abs(ref), 1e-8)
+                assert np.max(np.abs(analytic - ref) / scale) < 1e-4
 
 
 def test_branch_backprop_linear_in_upstream():
@@ -280,20 +309,23 @@ def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
     z = cache_s.out
     cache_a = conv_forward_anchors(g, a0, params)
     z_t = cache_a.out
-    grad_z, grad_zt, q_sup = _decoder_grads(g, z, z_t)
+    y = top_product(cache_s, params)
     ref_z, ref_zt, ref_q = whole_matrix_decoder_grads(g, z, z_t)
-    assert_close(grad_z, ref_z)
-    assert_close(grad_zt, ref_zt)
-    assert_close(q_sup, on_support(g, ref_q))
     assert_close(decode_on_support(g, z, z_t), on_support(g, ref_q))
-
-    grads, q_sup = backward(g, cache_s, cache_a, params)
     ref_s = aggregated_sample_grads(g, x, params, ref_z)
     ref_a = aggregated_anchor_grads(g, c, params, ref_zt)
-    for grad, s, a in zip(grads, ref_s, ref_a):
-        assert_close(grad, s + a)
-    assert_close(q_sup, on_support(g, ref_q))
-    assert_close(loss(g, q_sup), whole_matrix_loss(g, ref_q))
+
+    for _ in each_pass(monkeypatch):
+        grad_y, grad_zt, q_sup = _decoder_grads(g, y, z, z_t)
+        assert_close(grad_y, g.bt_dot(ref_z))
+        assert_close(grad_zt, ref_zt)
+        assert_close(q_sup, on_support(g, ref_q))
+
+        grads, q_sup = backward(g, cache_s, cache_a, params)
+        for grad, s, a in zip(grads, ref_s, ref_a):
+            assert_close(grad, s + a)
+        assert_close(q_sup, on_support(g, ref_q))
+        assert_close(loss(g, q_sup), whole_matrix_loss(g, ref_q))
 
 
 def test_decode_in_place_softmax_same_bits_as_oracle():
@@ -306,25 +338,55 @@ def test_decode_in_place_softmax_same_bits_as_oracle():
 def test_underflow_warns_once_per_call_across_blocks(monkeypatch):
     # Every row but the last sits on anchor 0, the last on anchor 2; each
     # row's support holds the other two anchors, so far away that q
-    # underflows to exactly 0 there, in each 1-row block.
+    # underflows to exactly 0 there, in each block (1 row on the dense
+    # side, m = 3 rows on the factored side).
     monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 1)
     n = 5
     idx = np.tile([1, 2], (n, 1))
     idx[-1] = [0, 1]
     g = AnchorGraph(idx, np.full((n, 2), 0.5), 3)
-    z = np.zeros((n, 1))
-    z[-1] = 200.0
+    y = np.array([[400.0], [0.0], [0.0]])
+    z = g.b_dot(y)
+    assert np.array_equal(z[:, 0], [0.0, 0.0, 0.0, 0.0, 200.0])
     z_t = np.array([[0.0], [100.0], [200.0]])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, _, q_sup = _decoder_grads(g, z, z_t)
-        value = loss(g, q_sup)
-    assert (q_sup == 0.0).all()
-    assert np.isfinite(value)
-    assert [str(w.message) for w in caught
-            if issubclass(w.category, RuntimeWarning)] == [
-        "reconstruction underflowed to 0 on the graph support; "
-        "clamping before the log"]
+    for _ in each_pass(monkeypatch):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, _, q_sup = _decoder_grads(g, y, z, z_t)
+            value = loss(g, q_sup)
+        assert (q_sup == 0.0).all()
+        assert np.isfinite(value)
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == [
+            "reconstruction underflowed to 0 on the graph support; "
+            "clamping before the log"]
+
+
+@pytest.mark.parametrize("width, factored", [(16, True), (15, False)],
+                         ids=["at-bound-factored", "below-bound-dense"])
+def test_rule_picks_pass_at_boundary(monkeypatch, width, factored):
+    # k sqrt(m) = 7 * 8 = FACTORED_K_ROOT_M_PER_WIDTH * 16: width 16 sits on
+    # the bound and takes the factored pass, width 15 the dense pass, which
+    # alone calls decode.
+    assert training.FACTORED_K_ROOT_M_PER_WIDTH * 16 == 7 * 8
+    rng = make_rng(72)
+    g, x, c, params = random_instance(rng, n=70, m=64, k=7,
+                                      dims=(5, 4, width))
+    p0, a0 = first_layer_inputs(g, x, c)
+    cache_s = conv_forward_samples(g, p0, params)
+    cache_a = conv_forward_anchors(g, a0, params)
+    calls = []
+    real_decode = training.decode
+    monkeypatch.setattr(training, "decode",
+                        lambda *args: calls.append(1) or real_decode(*args))
+    grads, _ = backward(g, cache_s, cache_a, params)
+    assert (not calls) == factored
+    ref_z, ref_zt, _ = whole_matrix_decoder_grads(g, cache_s.out,
+                                                  cache_a.out)
+    ref_s = aggregated_sample_grads(g, x, params, ref_z)
+    ref_a = aggregated_anchor_grads(g, c, params, ref_zt)
+    for grad, s, a in zip(grads, ref_s, ref_a):
+        assert_close(grad, s + a)
 
 
 def test_train_nan_embeddings_raise_diverged(monkeypatch):
@@ -347,20 +409,24 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
     g = AnchorGraph(idx, w, m)
     x = rng.normal(size=(n, 4))
     c = rng.normal(size=(m, 4))
-    params = init_params([4, 3, 2], rng)
-    p0, a0 = first_layer_inputs(g, x, c)
-    cache_s = conv_forward_samples(g, p0, params)
-    z = cache_s.out
-    cache_a = conv_forward_anchors(g, a0, params)
-    z_t = cache_a.out
     n_by_m_bytes = n * m * 8
+    # Embedding width 2 takes the dense pass, width 64 the factored one.
+    for dims, factored in (([4, 3, 2], False), ([4, 8, 64], True)):
+        assert training._factored(g, dims[-1]) == factored
+        params = init_params(dims, rng)
+        p0, a0 = first_layer_inputs(g, x, c)
+        cache_s = conv_forward_samples(g, p0, params)
+        z = cache_s.out
+        cache_a = conv_forward_anchors(g, a0, params)
+        z_t = cache_a.out
 
-    assert peak_bytes(lambda: backward(g, cache_s, cache_a, params)) \
-        < n_by_m_bytes
-    assert peak_bytes(lambda: decode_on_support(g, z, z_t)) < n_by_m_bytes
-    assert peak_bytes(lambda: train(g, *first_layer_inputs(g, x, c), params,
-                                    TrainConfig(inner_epochs=2))) \
-        < n_by_m_bytes
+        assert peak_bytes(lambda: backward(g, cache_s, cache_a, params)) \
+            < n_by_m_bytes
+        assert peak_bytes(lambda: decode_on_support(g, z, z_t)) \
+            < n_by_m_bytes
+        assert peak_bytes(lambda: train(g, *first_layer_inputs(g, x, c),
+                                        params, TrainConfig(inner_epochs=2))) \
+            < n_by_m_bytes
 
 
 def test_graph_fit_holds_one_sample_by_anchor_array():
