@@ -56,6 +56,8 @@ class AnchorGraph:
     m: int
     delta: np.ndarray = field(init=False)
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _csc_t: sp.csc_matrix | None = field(default=None, repr=False,
+                                         compare=False)
     _anchor_adj: np.ndarray | None = field(default=None, repr=False,
                                            compare=False)
 
@@ -74,7 +76,8 @@ class AnchorGraph:
 
     def csr(self) -> sp.csr_matrix:
         """Sparse view of B, cached; used for all products against B, and
-        through its CSC transpose view for all products against B^T."""
+        through its CSC transpose view (bt_dot) for all products against
+        B^T."""
         if self._csr is None:
             n, k = self.indices.shape
             indptr = np.arange(0, (n + 1) * k, k, dtype=np.int64)
@@ -101,8 +104,11 @@ class AnchorGraph:
         return self.csr() @ y
 
     def bt_dot(self, x: np.ndarray) -> np.ndarray:
-        """B^T @ x for x of shape (n, d); O(n k d)."""
-        return self.csr().T @ x
+        """B^T @ x for x of shape (n, d); O(n k d). The CSC view csr().T
+        shares B's arrays and is cached, so it is built once per graph."""
+        if self._csc_t is None:
+            self._csc_t = self.csr().T
+        return self._csc_t @ x
 
     def pool(self, h: np.ndarray) -> np.ndarray:
         """diag(1/delta) B^T @ h for h of shape (n, d): row j is the

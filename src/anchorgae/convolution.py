@@ -16,7 +16,8 @@ the anchor side. Both stay fixed while the graph does, so the caller forms
 them once per graph.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -42,14 +43,31 @@ class EncoderParams:
 
 @dataclass
 class ForwardCache:
-    """One forward pass: its output, the embedding, and the per-layer
-    intermediates backprop reads: the m-row inputs that multiply each weight
-    matrix (g.pool(h_l) on the sample side, the anchor-side adjacency times
-    h_l on the anchor side) and the pre-activations."""
+    """One forward pass: the per-layer intermediates backprop reads and the
+    top layer's m-row product.
+
+    inputs[l] is the m-row input that multiplies W_l (g.pool(h_l) on the
+    sample side, the anchor-side adjacency times h_l on the anchor side);
+    activations[l] is h_{l+1} = relu(s_l) for each hidden layer l, the only
+    n-row array a sample-side layer keeps (its ReLU is applied in place,
+    and its mask h_{l+1} > 0 is the mask s_l > 0); top is the last layer's
+    product y = inputs[-1] @ W_L. The output, spread(top) (z = B y on the
+    sample side, z_t = y on the anchor side), is formed on first read of
+    out, so a pass that reads only y never forms the n-row z.
+    """
 
     inputs: list[np.ndarray]
-    pre_activation: list[np.ndarray]
-    out: np.ndarray
+    activations: list[np.ndarray]
+    top: np.ndarray
+    spread: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    _out: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def out(self) -> np.ndarray:
+        """The embedding spread(top), formed once."""
+        if self._out is None:
+            self._out = self.spread(self.top)
+        return self._out
 
 
 def init_params(layer_dims: list[int], rng: np.random.Generator) -> EncoderParams:
@@ -89,25 +107,23 @@ def apply_anchor_adjacency_t(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
 
 def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
              gather, spread) -> ForwardCache:
-    """Layer l computes s_l = spread(gather(h_l) @ W_l) and h_{l+1} =
-    relu(s_l), except the last, whose output is s_l itself; first is
-    gather(h_0), m x d_in, formed by the caller and used (and cached) as
-    is, uncopied."""
+    """Hidden layer l computes h_{l+1} = relu(spread(gather(h_l) @ W_l)),
+    the ReLU in place on the spread product; the last layer's product
+    gather(h_L) @ W_L is cached unspread (ForwardCache.out spreads it).
+    first is gather(h_0), m x d_in, formed by the caller and used (and
+    cached) as is, uncopied."""
     expected = (g.m, params.layers[0].shape[0])
     if first.shape != expected:
         raise ValueError(f"first-layer input has shape {first.shape}, "
                          f"expected {expected}")
-    inputs, pre = [], []
-    m_l = first
-    last = len(params.layers) - 1
-    for l, w in enumerate(params.layers):
-        if l:
-            m_l = gather(h)
-        s_l = spread(m_l @ w)
-        h = s_l if l == last else np.maximum(s_l, 0.0)
-        inputs.append(m_l)
-        pre.append(s_l)
-    return ForwardCache(inputs, pre, h)
+    inputs, activations = [first], []
+    for w in params.layers[:-1]:
+        h = spread(inputs[-1] @ w)
+        np.maximum(h, 0.0, out=h)
+        activations.append(h)
+        inputs.append(gather(h))
+    return ForwardCache(inputs, activations, inputs[-1] @ params.layers[-1],
+                        spread)
 
 
 def conv_forward_samples(g: AnchorGraph, p0: np.ndarray,

@@ -1,13 +1,11 @@
 """Clustering quality measures: accuracy under the optimal label matching
 and normalized mutual information (geometric-mean normalizer).
 
-The matching is solved by `scipy.sparse.csgraph`, which the pipeline loads
-anyway, so importing this module does not load `scipy.optimize`.
+The matching is an exact assignment on the c x c count table, solved here
+in numpy by the Hungarian method, so computing ACC imports no scipy module.
 """
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 
 def _contingency(pred, truth) -> np.ndarray:
@@ -26,18 +24,57 @@ def _contingency(pred, truth) -> np.ndarray:
     return table
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """cols with sum(cost[i, cols[i]]) minimal over all permutations, for a
+    square integer cost matrix: Kuhn's Hungarian method with row and column
+    potentials, one shortest augmenting path per row, O(c^3) in all.
+    Integer costs keep every potential exact."""
+    c = cost.shape[0]
+    never = np.iinfo(np.int64).max
+    # Column 0 is a virtual start; match[j] is the 1-based row matched to
+    # column j (0 for none), u and v are the row and column potentials.
+    u = np.zeros(c + 1, dtype=np.int64)
+    v = np.zeros(c + 1, dtype=np.int64)
+    match = np.zeros(c + 1, dtype=np.int64)
+    for i in range(1, c + 1):
+        match[0] = i
+        col = 0
+        slack = np.full(c + 1, never, dtype=np.int64)
+        prev = np.zeros(c + 1, dtype=np.int64)
+        used = np.zeros(c + 1, dtype=bool)
+        while match[col]:
+            used[col] = True
+            row = match[col]
+            reduced = cost[row - 1] - u[row] - v[1:]
+            free = ~used[1:]
+            closer = free & (reduced < slack[1:])
+            slack[1:][closer] = reduced[closer]
+            prev[1:][closer] = col
+            nxt = int(np.argmin(np.where(free, slack[1:], never))) + 1
+            step = slack[nxt]
+            u[match[used]] += step
+            v[used] -= step
+            slack[1:][free] -= step
+            col = nxt
+        while col:
+            back = prev[col]
+            match[col] = match[back]
+            col = back
+    cols = np.empty(c, dtype=np.int64)
+    cols[match[1:] - 1] = np.arange(c)
+    return cols
+
+
 def acc(pred, truth) -> float:
     """Fraction of samples matched under the best predicted-to-true label
-    bijection (minimum-weight perfect matching on the padded contingency
-    table). The costs max - count + 1 are all positive, so the sparse
-    matcher reads every entry as an edge and the graph is complete."""
+    bijection: a maximum-count assignment on the contingency table, padded
+    with zero rows or columns to square."""
     table = _contingency(pred, truth)
     size = max(table.shape)
     counts = np.zeros((size, size), dtype=np.int64)
     counts[: table.shape[0], : table.shape[1]] = table
-    cost = sp.csr_array((counts.max() - counts + 1).astype(np.float64))
-    rows, cols = min_weight_full_bipartite_matching(cost)
-    return float(counts[rows, cols].sum()) / float(table.sum())
+    cols = _min_cost_assignment(counts.max() - counts)
+    return float(counts[np.arange(size), cols].sum()) / float(table.sum())
 
 
 def _entropy(counts: np.ndarray) -> float:

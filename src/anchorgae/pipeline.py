@@ -18,8 +18,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .anchor_graph import (
     FIT_MAX_ITERS,
@@ -78,7 +76,8 @@ def measure_collapse(g: AnchorGraph, q_sup: np.ndarray,
 
     uniformity_gap: how far the support weights sit from the flat 1/k row.
     component_count: connected components of the bipartite graph (samples
-    and anchors as nodes, positive-weight entries as edges).
+    and anchors as nodes, positive-weight entries as edges), counted by
+    _component_count.
     reconstruction_gap: max |q - b| over the stored support.
     """
     if q_sup.shape != g.weights.shape:
@@ -87,15 +86,38 @@ def measure_collapse(g: AnchorGraph, q_sup: np.ndarray,
     gap = float(np.max(np.abs(g.weights - 1.0 / g.k)))
     recon = float(np.max(np.abs(q_sup - g.weights)))
 
-    live = g.weights > 0
-    rows = np.repeat(np.arange(g.n), g.k)[live.ravel()]
-    cols = g.indices.ravel()[live.ravel()] + g.n
-    total = g.n + g.m
-    ones = np.ones(rows.size)
-    adj = sp.coo_matrix((ones, (rows, cols)), shape=(total, total))
-    count, _ = connected_components(adj, directed=False)
     return CollapseEntry(iteration=iteration, k=g.k, uniformity_gap=gap,
-                         component_count=int(count), reconstruction_gap=recon)
+                         component_count=_component_count(g),
+                         reconstruction_gap=recon)
+
+
+def _component_count(g: AnchorGraph) -> int:
+    """Connected components of g's bipartite graph, positive weights as
+    edges. Every anchor has positive degree, so each component but a sample
+    with no positive weight (a component of its own) is a set of anchors
+    linked through shared samples. Union-find over the anchors: each root
+    hooks onto the smallest root across its links, then every label jumps
+    to its root, until every link joins equal roots."""
+    # Each row links its live anchors to its first live anchor (a row with
+    # none links nothing).
+    live = g.weights > 0
+    first = g.indices[np.arange(g.n), live.argmax(axis=1)]
+    a = np.broadcast_to(first[:, None], live.shape)[live]
+    b = g.indices[live]
+    root = np.arange(g.m)
+    while True:
+        ra, rb = root[a], root[b]
+        low = np.minimum(ra, rb)
+        hooked = root.copy()
+        np.minimum.at(hooked, ra, low)
+        np.minimum.at(hooked, rb, low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    isolated = g.n - int(np.count_nonzero(live.any(axis=1)))
+    return int(np.count_nonzero(root == np.arange(g.m))) + isolated
 
 
 def pullback_anchors(x: np.ndarray, g: AnchorGraph) -> np.ndarray:

@@ -26,6 +26,12 @@ graph support (n x k), for the loss.
 The sparse products slow down as k and m grow, so the factored pass runs
 only when k sqrt(m) <= FACTORED_K_ROOT_M_PER_WIDTH * e, for embedding
 width e.
+
+Of the n-row arrays, an epoch holds the activation of each hidden layer of
+the sample branch (ForwardCache) and, in backprop, the gradient through one
+of them. The factored pass never forms the n x e embedding z; the dense
+pass forms it once per epoch. An epoch's caches are freed before the next
+epoch's forward pass.
 """
 
 import warnings
@@ -138,12 +144,12 @@ def _branch_grads(cache: ForwardCache, params: EncoderParams,
     grad = grad_top
     for l in range(n_layers - 1, -1, -1):
         if l < n_layers - 1:
-            if cache.pre_activation[l].shape != grad.shape:
+            if cache.activations[l].shape != grad.shape:
                 raise ValueError(
                     "cache does not match gradient shapes (stale forward?)")
             # ReLU, in place: grad is an array made here by gather_t, never
-            # the caller's grad_top.
-            np.multiply(grad, cache.pre_activation[l] > 0.0, out=grad)
+            # the caller's grad_top; relu(s) > 0 exactly where s > 0.
+            np.multiply(grad, cache.activations[l] > 0.0, out=grad)
             grad = spread_t(grad)
         grads[l] = cache.inputs[l].T @ grad
         if l > 0:
@@ -158,19 +164,22 @@ def _factored(g: AnchorGraph, width: int) -> bool:
     return g.k * np.sqrt(g.m) <= FACTORED_K_ROOT_M_PER_WIDTH * width
 
 
-def _factored_blocks(g: AnchorGraph) -> list[tuple[slice, sp.csr_matrix]]:
-    """g's rows as (rows, CSR of B[rows]) blocks for the factored pass, each
-    of at least m rows, so that adding a block's m x m product to the
-    residual costs no more than one sweep over the block. A block holds
-    max(BLOCK_ENTRIES, m^2) entries."""
+def _factored_blocks(g: AnchorGraph
+                     ) -> list[tuple[slice, sp.csr_matrix, sp.csc_matrix]]:
+    """g's rows as (rows, CSR of B[rows], its CSC transpose view) blocks for
+    the factored pass, each of at least m rows, so that adding a block's
+    m x m product to the residual costs no more than one sweep over the
+    block. A block holds max(BLOCK_ENTRIES, m^2) entries. The transpose
+    shares the block's arrays; keeping it saves building it every epoch."""
     k = g.k
     blocks = []
     for rows in row_blocks(g.n, g.m, min_rows=g.m):
         n_rows = rows.stop - rows.start
         indptr = np.arange(0, (n_rows + 1) * k, k, dtype=np.int64)
-        blocks.append((rows, sp.csr_matrix(
+        b = sp.csr_matrix(
             (g.weights[rows].ravel(), g.indices[rows].ravel(), indptr),
-            shape=(n_rows, g.m))))
+            shape=(n_rows, g.m))
+        blocks.append((rows, b, b.T))
     return blocks
 
 
@@ -229,28 +238,30 @@ def _factored_decoder_grads(g: AnchorGraph, y: np.ndarray, z_t: np.ndarray,
     # (up to 2x slower passes at m = 256 and 512).
     resid = np.multiply(g.anchor_adjacency(), -g.delta[:, None], order="C")
     q_sup = np.empty_like(g.weights)
-    for rows, b in blocks:
+    for rows, b, bt in blocks:
         q = _decode_logits(b @ c)
         q_sup[rows] = np.take_along_axis(q, g.indices[rows], axis=1)
-        resid += b.T @ q
+        resid += bt @ q
     grad_y = 2.0 * (resid @ z_t)
     grad_zt = 2.0 * (resid.T @ y) - 2.0 * resid.sum(axis=0)[:, None] * z_t
     return grad_y, grad_zt, q_sup
 
 
-def _decoder_grads(g: AnchorGraph, y: np.ndarray, z: np.ndarray,
+def _decoder_grads(g: AnchorGraph, sample_cache: ForwardCache,
                    z_t: np.ndarray, blocks=None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the loss w.r.t. y, the sample branch's top m-row
-    product (z = B y), and w.r.t. z_t, and the reconstruction on the graph
-    support: (grad_y, grad_zt, q_sup). _factored picks the pass; the
-    factored one uses blocks (_factored_blocks(g)), formed here if None.
+    """Gradients of the loss w.r.t. y = sample_cache.top, the sample
+    branch's top m-row product (z = B y), and w.r.t. z_t, and the
+    reconstruction on the graph support: (grad_y, grad_zt, q_sup).
+    _factored picks the pass. The factored one reads only y, so z is never
+    formed, and uses blocks (_factored_blocks(g)), formed here if None; the
+    dense one reads z = sample_cache.out.
     """
-    if not _factored(g, z.shape[1]):
-        return _dense_decoder_grads(g, z, z_t)
+    if not _factored(g, z_t.shape[1]):
+        return _dense_decoder_grads(g, sample_cache.out, z_t)
     if blocks is None:
         blocks = _factored_blocks(g)
-    return _factored_decoder_grads(g, y, z_t, blocks)
+    return _factored_decoder_grads(g, sample_cache.top, z_t, blocks)
 
 
 def backward(g: AnchorGraph, sample_cache: ForwardCache,
@@ -262,20 +273,19 @@ def backward(g: AnchorGraph, sample_cache: ForwardCache,
     The target distribution is g's connectivity rows. Both branches
     contribute. On the sample side layer l computes B (P_l W_l), with
     P_l = diag(1/delta) B^T h_l cached by the forward pass. The decoder
-    hands back the gradient w.r.t. the top product y = P_L W_L; below it
-    each layer's gradient g_l goes through B^T once: u = B^T g_l gives the
-    weight gradient P_l^T u and, through B diag(1/delta) (u W_l^T), the
-    gradient of the layer below; every dense product has m rows. The
-    anchor side needs the explicit transpose of its adjacency. blocks is
-    passed on to _decoder_grads.
+    hands back the gradient w.r.t. the top product y = P_L W_L, which the
+    cache holds; below it each layer's gradient g_l goes through B^T once:
+    u = B^T g_l gives the weight gradient P_l^T u and, through
+    B diag(1/delta) (u W_l^T), the gradient of the layer below; every dense
+    product has m rows. The anchor side needs the explicit transpose of its
+    adjacency. blocks is passed on to _decoder_grads.
     """
     n_layers = len(params.layers)
     for cache in (sample_cache, anchor_cache):
         if (len(cache.inputs) != n_layers
-                or len(cache.pre_activation) != n_layers):
+                or len(cache.activations) != n_layers - 1):
             raise ValueError("cache does not match params (stale forward?)")
-    y = sample_cache.inputs[-1] @ params.layers[-1]
-    grad_y, grad_zt, q_sup = _decoder_grads(g, y, sample_cache.out,
+    grad_y, grad_zt, q_sup = _decoder_grads(g, sample_cache,
                                             anchor_cache.out, blocks)
     grads_s = _branch_grads(sample_cache, params, grad_y, g.bt_dot,
                             partial(pool_t, g))
@@ -300,9 +310,11 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(cfg.inner_epochs):
-        cache_s = conv_forward_samples(g, p0, params)
-        cache_a = conv_forward_anchors(g, a0, params)
-        grads, q_sup = backward(g, cache_s, cache_a, params, blocks)
+        # The caches are backward's arguments only, so they are freed when
+        # it returns, before the next epoch's forward pass.
+        grads, q_sup = backward(g, conv_forward_samples(g, p0, params),
+                                conv_forward_anchors(g, a0, params), params,
+                                blocks)
         value = loss(g, q_sup)
         if not np.isfinite(value):
             raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")

@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loops, dense matrices, brute force)
+or taken from scipy (the csgraph_* references the package used to call),
 and shares no code with the production paths it checks, with four
 exceptions: random_bench_graph and first_layer_inputs only build inputs,
 peak_bytes only measures, and solve_connectivity_row is the production row
@@ -12,6 +13,11 @@ import itertools
 import tracemalloc
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import (
+    connected_components,
+    min_weight_full_bipartite_matching,
+)
 
 from anchorgae.anchor_graph import AnchorGraph, _solve_rows
 from anchorgae.convolution import EncoderParams, apply_anchor_adjacency
@@ -327,6 +333,31 @@ def union_find_components(n_left, n_right, edges):
         if ra != rb:
             parent[ra] = rb
     return len({find(v) for v in range(n_left + n_right)})
+
+
+def csgraph_component_count(g):
+    """Connected components of g's bipartite graph (samples and anchors as
+    nodes, positive-weight entries as edges) by scipy.sparse.csgraph."""
+    live = g.weights > 0
+    rows = np.repeat(np.arange(g.n), g.k)[live.ravel()]
+    cols = g.indices.ravel()[live.ravel()] + g.n
+    total = g.n + g.m
+    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                        shape=(total, total))
+    return int(connected_components(adj, directed=False)[0])
+
+
+def csgraph_matched_count(table):
+    """Largest matched count of a (rectangular) contingency table, by
+    scipy.sparse.csgraph's exact matcher on the square zero-padded table.
+    The costs max - count + 1 are all positive, so the matcher reads every
+    entry as an edge and the graph is complete."""
+    size = max(table.shape)
+    counts = np.zeros((size, size), dtype=np.int64)
+    counts[: table.shape[0], : table.shape[1]] = table
+    cost = sp.csr_array((counts.max() - counts + 1).astype(np.float64))
+    rows, cols = min_weight_full_bipartite_matching(cost)
+    return int(counts[rows, cols].sum())
 
 
 def entropy(p):

@@ -85,7 +85,8 @@ def test_identity_graph_single_linear_layer_is_xw():
     cache = conv_forward_samples(g, g.pool(x), params)
     z = cache.out
     assert np.max(np.abs(z - x @ params.layers[0])) < 1e-12
-    assert len(cache.inputs) == 1 and len(cache.pre_activation) == 1
+    assert len(cache.inputs) == 1 and cache.activations == []
+    assert cache.top.shape == (g.m, 2)
 
 
 def test_factored_matches_dense_oracle_both_branches():
@@ -154,13 +155,16 @@ def test_sample_layers_match_aggregate_then_multiply_oracle():
         ref_z, aggregates, pre = aggregated_forward(g, x, params,
                                                     apply_sample_adjacency)
         assert np.max(np.abs(z - ref_z)) < 1e-12
-        for p_l, a_l, s_l, ref_s in zip(cache.inputs, aggregates,
-                                        cache.pre_activation, pre):
+        assert len(cache.activations) == len(params.layers) - 1
+        for p_l, a_l, h_l, ref_s in zip(cache.inputs, aggregates,
+                                        cache.activations + [z], pre):
             # The m-row input is the pooled one; spreading it back with B
-            # gives the n-row aggregate.
+            # gives the n-row aggregate. A hidden layer keeps its ReLU, the
+            # last its linear output.
             assert p_l.shape == (g.m, a_l.shape[1])
             assert np.max(np.abs(g.b_dot(p_l) - a_l)) < 1e-12
-            assert np.max(np.abs(s_l - ref_s)) < 1e-12
+            ref_h = ref_s if h_l is z else np.maximum(ref_s, 0.0)
+            assert np.max(np.abs(h_l - ref_h)) < 1e-12
 
 
 def test_relu_kills_all_negative_preactivations():
@@ -173,7 +177,7 @@ def test_relu_kills_all_negative_preactivations():
     cache = conv_forward_samples(g, g.pool(x), params)
     z = cache.out
     assert np.array_equal(z, np.zeros((5, 2)))
-    assert (cache.pre_activation[0] <= 0).all()
+    assert not cache.activations[0].any()
 
 
 def test_siamese_identity_square_graph():

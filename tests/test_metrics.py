@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from anchorgae.metrics import acc, nmi
 from anchorgae.numerics import make_rng
-from oracles import brute_force_acc
+from oracles import brute_force_acc, csgraph_matched_count
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,12 +22,14 @@ def table_labels(table):
     return np.repeat(rows, counts), np.repeat(cols, counts)
 
 
-def random_table(rng, kind):
-    r, c = (int(v) for v in rng.integers(1, 13, size=2))
+def random_table(rng, kind, max_side=12):
+    r, c = (int(v) for v in rng.integers(1, max_side + 1, size=2))
     if kind == "uniform":
         table = rng.integers(0, 50, size=(r, c))
     elif kind == "zero-heavy":
         table = rng.integers(1, 50, size=(r, c)) * (rng.random((r, c)) < 0.15)
+    elif kind == "ties":
+        table = rng.integers(0, 3, size=(r, c))
     else:
         table = np.full((r, c), int(rng.integers(1, 9)))
     if not table.any():
@@ -57,30 +59,54 @@ def test_acc_matches_brute_force_permutations():
         assert acc(pred, truth) == pytest.approx(brute_force_acc(pred, truth))
 
 
-@pytest.mark.parametrize("kind", ["uniform", "zero-heavy", "constant"])
+@pytest.mark.parametrize("kind", ["uniform", "zero-heavy", "constant", "ties"])
 def test_acc_equals_linear_sum_assignment_reference(kind):
-    rng = make_rng({"uniform": 88, "zero-heavy": 89, "constant": 90}[kind])
+    # Rectangular tables, padded to square inside acc; "ties" and
+    # "constant" tables have many optimal matchings but one optimal value.
+    rng = make_rng({"uniform": 88, "zero-heavy": 89, "constant": 90,
+                    "ties": 93}[kind])
     for _ in range(400):
         table = random_table(rng, kind)
         rows, cols = linear_sum_assignment(table, maximize=True)
-        expected = float(table[rows, cols].sum()) / float(table.sum())
-        assert acc(*table_labels(table)) == expected
+        best = int(table[rows, cols].sum())
+        assert csgraph_matched_count(table) == best
+        assert acc(*table_labels(table)) == best / float(table.sum())
+
+
+@pytest.mark.parametrize("kind", ["uniform", "zero-heavy", "constant", "ties"])
+def test_acc_equals_linear_sum_assignment_on_tables_up_to_30(kind):
+    rng = make_rng({"uniform": 94, "zero-heavy": 95, "constant": 96,
+                    "ties": 97}[kind])
+    for _ in range(60):
+        table = random_table(rng, kind, max_side=30)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        best = int(table[rows, cols].sum())
+        assert csgraph_matched_count(table) == best
+        assert acc(*table_labels(table)) == best / float(table.sum())
 
 
 def test_acc_matches_brute_force_on_small_rectangular_tables():
-    rng = make_rng(91)
-    for _ in range(100):
-        table = random_table(rng, "zero-heavy")[:5, :6]
-        if not table.any():
-            continue
-        pred, truth = table_labels(table)
-        assert acc(pred, truth) == pytest.approx(brute_force_acc(pred, truth),
-                                                 abs=1e-12)
+    for kind, seed in (("zero-heavy", 91), ("ties", 92)):
+        rng = make_rng(seed)
+        for _ in range(100):
+            table = random_table(rng, kind)[:5, :6]
+            if not table.any():
+                continue
+            pred, truth = table_labels(table)
+            assert acc(pred, truth) == pytest.approx(
+                brute_force_acc(pred, truth), abs=1e-12)
+
+
+# scipy.optimize costs about 0.27 s and 17 MiB to import, and
+# scipy.sparse.csgraph about 12 MiB, through scipy.sparse.linalg and
+# scipy.linalg; the component count and the label matching run in numpy.
+UNLOADED = ("scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+            "scipy.linalg")
 
 
 def test_importing_the_package_and_fitting_loads_no_scipy_optimize(tmp_path):
-    # scipy.optimize costs about 0.27 s and 17 MiB to import; the label
-    # matching runs on scipy.sparse.csgraph, which the pipeline loads anyway.
+    # The CLI fit records collapse diagnostics (measure_collapse) and
+    # scores its labels (acc).
     script = textwrap.dedent(f"""
         import sys
         import anchorgae.metrics, anchorgae.pipeline, anchorgae.clustering
@@ -91,7 +117,8 @@ def test_importing_the_package_and_fitting_loads_no_scipy_optimize(tmp_path):
                          "--inner-epochs", "2", "--seed", "0",
                          "--report", {str(tmp_path / "report.json")!r}])
         assert code == 0, code
-        assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded"
+        loaded = [name for name in {UNLOADED!r} if name in sys.modules]
+        assert not loaded, f"loaded: {{loaded}}"
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

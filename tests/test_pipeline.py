@@ -20,7 +20,7 @@ from anchorgae.pipeline import (
     run_anchorgae,
     sparsity_increment,
 )
-from oracles import on_support, union_find_components
+from oracles import csgraph_component_count, on_support, union_find_components
 
 
 def quick_config(**overrides):
@@ -162,6 +162,51 @@ def test_measure_collapse_random_components_vs_oracle():
     entry = measure_collapse(g, on_support(g, rng.random((n, m))), 0)
     edges = [(i, int(j)) for i in range(n) for j in idx[i]]
     assert entry.component_count == union_find_components(n, m, edges)
+
+
+def graph_with_live_fraction(rng, n, m, k, live):
+    """Random k-sparse graph whose support entries keep a positive weight
+    with probability live (the rest weigh 0, so some rows are all zero),
+    plus one row per anchor left without degree, live only on that anchor."""
+    idx = np.argsort(rng.random((n, m)), axis=1)[:, :k]
+    w = rng.random((n, k)) * (rng.random((n, k)) < live)
+    degree = np.bincount(idx.ravel(), weights=w.ravel(), minlength=m)
+    dead = np.flatnonzero(degree == 0)
+    extra_idx = np.argsort(rng.random((dead.size, m)), axis=1)[:, :k]
+    extra_w = np.zeros((dead.size, k))
+    for row, j in enumerate(dead):
+        extra_idx[row][extra_idx[row] == j] = extra_idx[row, 0]
+        extra_idx[row, 0] = j
+        extra_w[row, 0] = rng.random() + 0.1
+    return AnchorGraph(np.concatenate([idx, extra_idx]),
+                       np.concatenate([w, extra_w]), m)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_component_count_matches_csgraph_and_union_find(k):
+    # From one component (dense live links) to about one per anchor or
+    # sample (sparse ones), with zero-weight support entries and all-zero
+    # rows throughout.
+    rng = make_rng(104 + k)
+    for trial in range(60):
+        n = int(rng.integers(1, 80))
+        m = int(rng.integers(k + 1, 40))
+        live = (0.05, 0.3, 0.7, 1.0)[trial % 4]
+        g = graph_with_live_fraction(rng, n, m, k, live)
+        count = measure_collapse(g, g.weights, 0).component_count
+        pos = g.weights > 0
+        edges = [(i, int(j)) for i in range(g.n) for j in g.indices[i][pos[i]]]
+        assert count == csgraph_component_count(g) \
+            == union_find_components(g.n, m, edges)
+
+
+def test_component_count_counts_each_dead_row_once():
+    # 2 anchors each linked through its own live rows, 3 all-zero rows.
+    idx = np.array([[0, 1]] * 5)
+    w = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    g = AnchorGraph(idx, w, 2)
+    assert measure_collapse(g, w, 0).component_count == 2 + 3 \
+        == csgraph_component_count(g)
 
 
 # ------------------------------------------------------------- pipeline

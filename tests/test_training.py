@@ -12,6 +12,7 @@ from anchorgae.anchor_graph import (
 )
 from anchorgae.convolution import (
     EncoderParams,
+    ForwardCache,
     apply_anchor_adjacency,
     conv_forward_anchors,
     conv_forward_samples,
@@ -175,11 +176,6 @@ def sample_branch_grads(g, cache, params, grad_z):
                          lambda h: pool_t(g, h))
 
 
-def top_product(cache, params):
-    """y, the sample branch's top m-row product; its output z is B y."""
-    return cache.inputs[-1] @ params.layers[-1]
-
-
 def test_backward_zero_at_exact_reconstruction(monkeypatch):
     rng = make_rng(53)
     g, x, c, params = random_instance(rng)
@@ -309,14 +305,16 @@ def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
     z = cache_s.out
     cache_a = conv_forward_anchors(g, a0, params)
     z_t = cache_a.out
-    y = top_product(cache_s, params)
+    # The cache holds y, the top m-row product, and z = B y.
+    assert np.array_equal(cache_s.top, cache_s.inputs[-1] @ params.layers[-1])
+    assert np.array_equal(z, g.b_dot(cache_s.top))
     ref_z, ref_zt, ref_q = whole_matrix_decoder_grads(g, z, z_t)
     assert_close(decode_on_support(g, z, z_t), on_support(g, ref_q))
     ref_s = aggregated_sample_grads(g, x, params, ref_z)
     ref_a = aggregated_anchor_grads(g, c, params, ref_zt)
 
     for _ in each_pass(monkeypatch):
-        grad_y, grad_zt, q_sup = _decoder_grads(g, y, z, z_t)
+        grad_y, grad_zt, q_sup = _decoder_grads(g, cache_s, z_t)
         assert_close(grad_y, g.bt_dot(ref_z))
         assert_close(grad_zt, ref_zt)
         assert_close(q_sup, on_support(g, ref_q))
@@ -345,14 +343,13 @@ def test_underflow_warns_once_per_call_across_blocks(monkeypatch):
     idx = np.tile([1, 2], (n, 1))
     idx[-1] = [0, 1]
     g = AnchorGraph(idx, np.full((n, 2), 0.5), 3)
-    y = np.array([[400.0], [0.0], [0.0]])
-    z = g.b_dot(y)
-    assert np.array_equal(z[:, 0], [0.0, 0.0, 0.0, 0.0, 200.0])
+    cache_s = ForwardCache([], [], np.array([[400.0], [0.0], [0.0]]), g.b_dot)
+    assert np.array_equal(cache_s.out[:, 0], [0.0, 0.0, 0.0, 0.0, 200.0])
     z_t = np.array([[0.0], [100.0], [200.0]])
     for _ in each_pass(monkeypatch):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _, _, q_sup = _decoder_grads(g, y, z, z_t)
+            _, _, q_sup = _decoder_grads(g, cache_s, z_t)
             value = loss(g, q_sup)
         assert (q_sup == 0.0).all()
         assert np.isfinite(value)
@@ -427,6 +424,35 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
         assert peak_bytes(lambda: train(g, *first_layer_inputs(g, x, c),
                                         params, TrainConfig(inner_epochs=2))) \
             < n_by_m_bytes
+
+
+@pytest.mark.parametrize(
+    "m, k, d_in, factored, bound",
+    [(200, 3, 64, True, 3.5), (256, 17, 16, False, 4.2)],
+    ids=["factored", "dense"])
+def test_train_holds_one_sample_array_per_hidden_layer(monkeypatch, m, k, d_in,
+                                                       factored, bound):
+    # Widths h0 = 128, e = 64. An epoch holds the hidden layer's activation
+    # (one n x h0 array, its ReLU applied in place) and, in backprop, the
+    # gradient through it; the factored pass never spreads y into the
+    # n x e embedding z, the dense pass does so once per epoch. The
+    # previous epoch's caches are gone before the next forward pass.
+    n, dims, epochs = 3000, [d_in, 128, 64], 2
+    rng = make_rng(73)
+    g = random_bench_graph(n, m, k, rng)
+    assert training._factored(g, dims[-1]) == factored
+    params = init_params(dims, rng)
+    p0, a0 = first_layer_inputs(g, rng.random((n, d_in)),
+                                rng.random((m, d_in)))
+    spreads = []
+    b_dot = g.b_dot
+    monkeypatch.setattr(g, "b_dot",
+                        lambda y: spreads.append(y.shape[1]) or b_dot(y))
+    cfg = TrainConfig(inner_epochs=epochs)
+    peak = peak_bytes(lambda: train(g, p0, a0, params, cfg))
+    assert peak < bound * n * dims[1] * 8
+    assert spreads.count(dims[-1]) == (0 if factored else epochs)
+    assert spreads.count(dims[1]) == 2 * epochs
 
 
 def test_graph_fit_holds_one_sample_by_anchor_array():
