@@ -118,17 +118,15 @@ class AnchorGraph:
 
 @dataclass
 class ConnectivitySolveConfig:
-    """Settings for the alternating fit: per-row sparsity k and iteration
-    cap."""
+    """Settings for the alternating fit: the per-row sparsity k, the graph's
+    one hyper-parameter. The iteration cap and tolerance are the module
+    constants FIT_MAX_ITERS and FIT_TOL."""
 
     k: int
-    max_iters: int = FIT_MAX_ITERS
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"sparsity k must be >= 1, got {self.k}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 def init_anchors(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -246,8 +244,8 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
 
     Stop rule: the loop ends after the iteration whose objective differs
     from the previous iteration's by less than FIT_TOL = 1e-6 relative to
-    the previous value, or after cfg.max_iters (default
-    FIT_MAX_ITERS = 15) iterations, whichever comes first. The alternating
+    the previous value, or after FIT_MAX_ITERS = 15 iterations, whichever
+    comes first (both constants are read at call time). The alternating
     scheme carries no convergence guarantee for the moving per-row
     regularizer weight, so the rule is a recorded choice. The relative
     change falls below 1e-3 within 5-16 iterations and then wanders
@@ -284,7 +282,7 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
             f"squared distances overflow float64: the largest |feature| is "
             f"{scale:.3g}")
     prev_obj = None
-    for _ in range(cfg.max_iters):
+    for _ in range(FIT_MAX_ITERS):
         # Dead anchors would make delta singular; re-seed and re-solve.
         for attempt in range(m + 1):
             support, weights, gamma, d_sup = _solve_rows(

@@ -3,7 +3,8 @@ demonstration (collapse-demo), and metric evaluation of label files (eval).
 Performance is measured by the perfbench harness, not by a subcommand.
 
 Heavy imports happen inside the command handlers so the ANCHORGAE_THREADS
-cap can be applied to the BLAS pools before numpy loads.
+cap can be applied to the BLAS pools before numpy loads: BLAS reads its
+pool size from the environment once, when it starts.
 """
 
 import argparse
@@ -13,15 +14,14 @@ import os
 import sys
 import time
 
-_THREAD_LIMITER = None
-
 
 class ConfigError(Exception):
     """Invalid flags or unusable inputs; maps to exit code 1."""
 
 
 def _apply_thread_cap() -> None:
-    global _THREAD_LIMITER
+    """Set every BLAS pool variable to ANCHORGAE_THREADS, overriding any
+    value already set; does nothing when ANCHORGAE_THREADS is unset."""
     cap = os.environ.get("ANCHORGAE_THREADS")
     if not cap:
         return
@@ -34,12 +34,7 @@ def _apply_thread_cap() -> None:
             f"ANCHORGAE_THREADS must be an integer >= 1, got {cap!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        from threadpoolctl import threadpool_limits
-        _THREAD_LIMITER = threadpool_limits(limits=limit)
-    except ImportError:
-        pass  # env vars above still cover pools not yet started
+        os.environ[var] = cap
 
 
 class _Parser(argparse.ArgumentParser):

@@ -16,8 +16,7 @@ the anchor side. Both stay fixed while the graph does, so the caller forms
 them once per graph.
 """
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -51,23 +50,15 @@ class ForwardCache:
     activations[l] is h_{l+1} = relu(s_l) for each hidden layer l, the only
     n-row array a sample-side layer keeps (its ReLU is applied in place,
     and its mask h_{l+1} > 0 is the mask s_l > 0); top is the last layer's
-    product y = inputs[-1] @ W_L. The output, spread(top) (z = B y on the
-    sample side, z_t = y on the anchor side), is formed on first read of
-    out, so a pass that reads only y never forms the n-row z.
+    product y = inputs[-1] @ W_L. The embedding is y spread by the branch's
+    graph: z = g.b_dot(top) on the sample side, z_t = top on the anchor
+    side. Readers that need z spread y themselves, so a pass that reads
+    only y never forms the n-row z.
     """
 
     inputs: list[np.ndarray]
     activations: list[np.ndarray]
     top: np.ndarray
-    spread: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _out: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def out(self) -> np.ndarray:
-        """The embedding spread(top), formed once."""
-        if self._out is None:
-            self._out = self.spread(self.top)
-        return self._out
 
 
 def init_params(layer_dims: list[int], rng: np.random.Generator) -> EncoderParams:
@@ -109,7 +100,7 @@ def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
              gather, spread) -> ForwardCache:
     """Hidden layer l computes h_{l+1} = relu(spread(gather(h_l) @ W_l)),
     the ReLU in place on the spread product; the last layer's product
-    gather(h_L) @ W_L is cached unspread (ForwardCache.out spreads it).
+    gather(h_L) @ W_L is cached unspread, as ForwardCache.top.
     first is gather(h_0), m x d_in, formed by the caller and used (and
     cached) as is, uncopied."""
     expected = (g.m, params.layers[0].shape[0])
@@ -122,19 +113,20 @@ def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
         np.maximum(h, 0.0, out=h)
         activations.append(h)
         inputs.append(gather(h))
-    return ForwardCache(inputs, activations, inputs[-1] @ params.layers[-1],
-                        spread)
+    return ForwardCache(inputs, activations, inputs[-1] @ params.layers[-1])
 
 
 def conv_forward_samples(g: AnchorGraph, p0: np.ndarray,
                          params: EncoderParams) -> ForwardCache:
-    """Embed the n samples from p0 = g.pool(x); the cache's out is z."""
+    """Embed the n samples from p0 = g.pool(x); the embedding is
+    z = g.b_dot(cache.top)."""
     return _forward(g, params, p0, g.pool, g.b_dot)
 
 
 def conv_forward_anchors(g: AnchorGraph, a0: np.ndarray,
                          params: EncoderParams) -> ForwardCache:
     """Embed the m anchors from a0 = apply_anchor_adjacency(g, c) through the
-    shared weights with the anchor-side graph; the cache's out is z_t."""
+    shared weights with the anchor-side graph; the embedding is
+    z_t = cache.top."""
     return _forward(g, params, a0, partial(apply_anchor_adjacency, g),
                     lambda s: s)

@@ -34,7 +34,7 @@ from .convolution import (
     init_params,
 )
 from .numerics import as_matrix, spawn_rngs
-from .training import TrainConfig, TrainingDiverged, decode_on_support, train
+from .training import TrainingDiverged, decode_on_support, train
 
 MODES = ("full", "fixed_b", "fixed_k", "knn")
 
@@ -129,7 +129,10 @@ def pullback_anchors(x: np.ndarray, g: AnchorGraph) -> np.ndarray:
 
 @dataclass
 class AnchorGaeConfig:
-    """Everything one end-to-end run needs."""
+    """Everything one end-to-end run needs, checked at construction, so a
+    bad setting fails before any data is read. inner_epochs, learning_rate
+    and optimizer are training.train's settings (learning_rate=0 is
+    allowed: no-op steps)."""
 
     clusters: int
     anchors: int = 100
@@ -142,7 +145,6 @@ class AnchorGaeConfig:
     mode: str = "full"
     n_s: int | None = None
     seed: int = 0
-    fit_max_iters: int = FIT_MAX_ITERS
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -157,6 +159,13 @@ class AnchorGaeConfig:
                 f"anchors={self.anchors} must exceed k0={self.k0}")
         if self.outer_epochs < 0:
             raise ValueError(f"outer_epochs must be >= 0, got {self.outer_epochs}")
+        if self.inner_epochs < 1:
+            raise ValueError(f"inner_epochs must be >= 1, got {self.inner_epochs}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got "
+                             f"{self.learning_rate}")
+        if self.optimizer not in ("gd", "adam"):
+            raise ValueError(f"optimizer must be 'gd' or 'adam', got {self.optimizer!r}")
         if not self.hidden_dims or min(self.hidden_dims) < 1:
             raise ValueError(f"hidden_dims must be one or more layer widths "
                              f">= 1, got {list(self.hidden_dims)}")
@@ -164,6 +173,13 @@ class AnchorGaeConfig:
             raise ValueError(f"n_s must be >= 1, got {self.n_s}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def fit_max_iters(self) -> int:
+        """The graph fit's iteration cap, anchor_graph.FIT_MAX_ITERS; not a
+        setting. Kept because perfbench/worker.py reads it on traced runs to
+        count the fits that reached the cap."""
+        return FIT_MAX_ITERS
 
 
 @dataclass
@@ -201,8 +217,8 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
                   record_graphs: bool = False) -> RunResult:
     """Full pipeline: the initial graph on raw features, then rounds t = 0..T
     (T = outer_epochs). Round t trains the encoder if t < max(T, 1), embeds,
-    and records its graph's collapse diagnostics as iteration t; each round
-    but the last then refits the graph at sparsity k and grows k by delta_k.
+    refits the graph at sparsity k on the embedding if t < T, records its
+    own graph's collapse diagnostics as iteration t, and grows k by delta_k.
 
     Mode 'fixed_b' skips the refit (graph frozen), 'fixed_k' skips the
     sparsity growth, 'knn' swaps the weighted rows for flat 1/k rows over
@@ -211,15 +227,14 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     Each graph gets one pair of first-layer inputs, shared by its training
     epochs and embeddings: p0 = pullback_anchors(x, g) = g.pool(x), the
     graph's anchors in input space, and a0 = apply_anchor_adjacency(g, p0).
-    A failed training or refit raises PipelineStageError naming the round;
-    the initial fit's ValueError (a bad input) passes through, and an
-    input whose distances overflow is told to rescale.
+    A failed training or refit, or a snapshot whose reconstruction is not
+    finite, raises PipelineStageError naming the round; the refit runs
+    before the snapshot, so its overflow check speaks first. The initial
+    fit's ValueError (a bad input) passes through, and an input whose
+    distances overflow is told to rescale.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
-    train_cfg = TrainConfig(inner_epochs=config.inner_epochs,
-                            learning_rate=config.learning_rate,
-                            optimizer=config.optimizer)
     rng_anchor, rng_params = spawn_rngs(config.seed, 2)
     uniform_rows = config.mode == "knn"
     refit = config.mode != "fixed_b"
@@ -232,8 +247,7 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
     try:
         g = fit_anchor_graph(
             x, init_anchors(x, config.anchors, rng_anchor),
-            ConnectivitySolveConfig(k, config.fit_max_iters),
-            uniform_rows=uniform_rows)
+            ConnectivitySolveConfig(k), uniform_rows=uniform_rows)
     except DistanceOverflow as exc:
         raise ValueError(
             f"{exc}; rescale the input (e.g. min-max scaling)") from exc
@@ -246,20 +260,30 @@ def run_anchorgae(x: np.ndarray, config: AnchorGaeConfig,
             a0 = apply_anchor_adjacency(g, p0)
         if t < max(config.outer_epochs, 1):
             with _stage(f"outer iteration {t}, training", config):
-                loss_traces.append(train(g, p0, a0, params, train_cfg))
-        z = conv_forward_samples(g, p0, params).out
-        z_t = conv_forward_anchors(g, a0, params).out
-        diagnostics.append(
-            measure_collapse(g, decode_on_support(g, z, z_t), t))
+                loss_traces.append(train(g, p0, a0, params,
+                                         config.inner_epochs,
+                                         config.learning_rate,
+                                         config.optimizer))
+        z = g.b_dot(conv_forward_samples(g, p0, params).top)
+        z_t = conv_forward_anchors(g, a0, params).top
+        next_g = g
+        if refit and t < config.outer_epochs:
+            with _stage(f"outer iteration {t}, graph refit", config, z):
+                next_g = fit_anchor_graph(z, z_t, ConnectivitySolveConfig(k),
+                                          uniform_rows=uniform_rows)
+        # The snapshot decodes the distances a refit has just checked; with
+        # no refit, its own check stands in for the refit's.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_sup = decode_on_support(g, z, z_t)
+        if not np.isfinite(q_sup).all():
+            raise PipelineStageError(
+                f"outer iteration {t}, snapshot: the trained embedding's "
+                f"reconstruction is not finite; lower the learning rate "
+                f"(--lr {config.learning_rate:g})")
+        diagnostics.append(measure_collapse(g, q_sup, t))
         if record_graphs:
             iteration_graphs.append(g)
-        if t == config.outer_epochs:
-            break
-        if refit:
-            with _stage(f"outer iteration {t}, graph refit", config, z):
-                g = fit_anchor_graph(
-                    z, z_t, ConnectivitySolveConfig(k, config.fit_max_iters),
-                    uniform_rows=uniform_rows)
+        g = next_g
         k += delta_k
 
     return RunResult(z=z, graph=g, diagnostics=diagnostics,

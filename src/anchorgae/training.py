@@ -35,7 +35,6 @@ epoch's forward pass.
 """
 
 import warnings
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -71,24 +70,6 @@ ADAM_EPS = 1e-8
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss stops being finite."""
-
-
-@dataclass
-class TrainConfig:
-    """Inner-loop settings. learning_rate=0 is allowed (no-op steps)."""
-
-    inner_epochs: int = 200
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-
-    def __post_init__(self):
-        if self.inner_epochs < 1:
-            raise ValueError(f"inner_epochs must be >= 1, got {self.inner_epochs}")
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got "
-                             f"{self.learning_rate}")
-        if self.optimizer not in ("gd", "adam"):
-            raise ValueError(f"optimizer must be 'gd' or 'adam', got {self.optimizer!r}")
 
 
 def decode(z: np.ndarray, z_t: np.ndarray) -> np.ndarray:
@@ -255,10 +236,10 @@ def _decoder_grads(g: AnchorGraph, sample_cache: ForwardCache,
     reconstruction on the graph support: (grad_y, grad_zt, q_sup).
     _factored picks the pass. The factored one reads only y, so z is never
     formed, and uses blocks (_factored_blocks(g)), formed here if None; the
-    dense one reads z = sample_cache.out.
+    dense one forms z = B y.
     """
     if not _factored(g, z_t.shape[1]):
-        return _dense_decoder_grads(g, sample_cache.out, z_t)
+        return _dense_decoder_grads(g, g.b_dot(sample_cache.top), z_t)
     if blocks is None:
         blocks = _factored_blocks(g)
     return _factored_decoder_grads(g, sample_cache.top, z_t, blocks)
@@ -286,7 +267,7 @@ def backward(g: AnchorGraph, sample_cache: ForwardCache,
                 or len(cache.activations) != n_layers - 1):
             raise ValueError("cache does not match params (stale forward?)")
     grad_y, grad_zt, q_sup = _decoder_grads(g, sample_cache,
-                                            anchor_cache.out, blocks)
+                                            anchor_cache.top, blocks)
     grads_s = _branch_grads(sample_cache, params, grad_y, g.bt_dot,
                             partial(pool_t, g))
     grads_a = _branch_grads(anchor_cache, params, grad_zt, lambda h: h,
@@ -295,8 +276,11 @@ def backward(g: AnchorGraph, sample_cache: ForwardCache,
 
 
 def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
-          params: EncoderParams, cfg: TrainConfig) -> np.ndarray:
-    """Run cfg.inner_epochs full-batch steps on the siamese encoder.
+          params: EncoderParams, epochs: int, learning_rate: float,
+          optimizer: str) -> np.ndarray:
+    """Run `epochs` full-batch steps on the siamese encoder with optimizer
+    'gd' or 'adam' at learning_rate (0 makes every step a no-op). The
+    caller checks the three settings (pipeline.AnchorGaeConfig holds them).
 
     Updates params in place and returns the per-epoch loss trace.
     Aborts with TrainingDiverged naming the epoch if the loss leaves the
@@ -304,12 +288,12 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
     the first-layer inputs of the two branches, both m x d; they do not
     change between epochs.
     """
-    trace = np.empty(cfg.inner_epochs)
+    trace = np.empty(epochs)
     blocks = (_factored_blocks(g)
               if _factored(g, params.layers[-1].shape[1]) else None)
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
-    for epoch in range(cfg.inner_epochs):
+    for epoch in range(epochs):
         # The caches are backward's arguments only, so they are freed when
         # it returns, before the next epoch's forward pass.
         grads, q_sup = backward(g, conv_forward_samples(g, p0, params),
@@ -320,9 +304,9 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
             raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")
         trace[epoch] = value
 
-        if cfg.optimizer == "gd":
+        if optimizer == "gd":
             for w, grad in zip(params.layers, grads):
-                w -= cfg.learning_rate * grad
+                w -= learning_rate * grad
         else:
             t = epoch + 1
             bc1 = 1.0 - ADAM_BETA1 ** t
@@ -332,5 +316,5 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
                 m1 += (1.0 - ADAM_BETA1) * grad
                 v1 *= ADAM_BETA2
                 v1 += (1.0 - ADAM_BETA2) * grad * grad
-                w -= cfg.learning_rate * (m1 / bc1) / (np.sqrt(v1 / bc2) + ADAM_EPS)
+                w -= learning_rate * (m1 / bc1) / (np.sqrt(v1 / bc2) + ADAM_EPS)
     return trace

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,13 @@ PROBES = [
      LR_PROBE + ["--optimizer", "gd", "--inner-epochs", "1", "--lr", "1e80"],
      2, ["outer iteration 0, graph refit", "overflow", "--lr 1e+80"],
      ["rescale"]),
+    # The same step with the graph frozen: no refit checks the embedding,
+    # so the round's snapshot does.
+    ("lr-1e80-gd-fixed-b", None,
+     LR_PROBE + ["--optimizer", "gd", "--outer-epochs", "1", "--inner-epochs",
+                 "1", "--lr", "1e80", "--mode", "fixed-b"],
+     2, ["outer iteration 0, snapshot", "not finite", "--lr 1e+80"],
+     ["rescale"]),
 ]
 
 
@@ -134,12 +142,18 @@ PROBES = [
                          ids=[row[0] for row in PROBES])
 def test_fit_probe(tmp_path, capsys, data, flags, code, fragments, absent):
     """Each probe runs, or exits 1 or 2 with a message naming the setting
-    or the stage, and never prints a traceback."""
+    or the stage, and never prints a traceback or a numpy warning."""
     source = [] if data is None else [
         "--format", "csv", "--input", _write_csv(tmp_path / "x.csv", data())]
-    assert main(["fit", *source, *flags]) == code
+    # Warnings are recorded here; the command line prints them on stderr.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", *source, *flags]) == code
     out, err = capsys.readouterr()
     assert "Traceback" not in err
+    numpy_warnings = [str(w.message) for w in caught
+                      if "encountered in" in str(w.message)]
+    assert not numpy_warnings, numpy_warnings
     if code == 0:
         assert out.startswith("fit: ")
     else:
@@ -167,22 +181,36 @@ def test_bench_is_an_unknown_command():
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("flags, cause", [
-    (["--lr", "nan"], "learning_rate"),
-    (["--lr", "inf"], "learning_rate"),
-    (["--inner-epochs", "0"], "inner_epochs"),
-    (["--layers", "0"], "hidden_dims"),
-    (["--dim", "0"], "x needs at least one row and one column"),
-    (["--seed", "-1"], "seed must be >= 0, got -1"),
-    (["--k0", "0"], "k0 must be >= 1, got 0"),
-    (["--ns", "0"], "n_s must be >= 1, got 0"),
-], ids=["lr-nan", "lr-inf", "inner-epochs-0", "layers-0", "dim-0", "seed-neg",
-        "k0-0", "ns-0"])
+# (flags, cause in the message, caught before the dataset is read). A
+# feature dimension of 0 is a data fault, found when the data is made.
+BAD_SETTINGS = [
+    (["--lr", "nan"], "learning_rate", True),
+    (["--lr", "inf"], "learning_rate", True),
+    (["--lr", "-1"], "learning_rate must be finite and >= 0, got -1.0", True),
+    (["--inner-epochs", "0"], "inner_epochs", True),
+    (["--layers", "0"], "hidden_dims", True),
+    (["--dim", "0"], "x needs at least one row and one column", False),
+    (["--seed", "-1"], "seed must be >= 0, got -1", True),
+    (["--k0", "0"], "k0 must be >= 1, got 0", True),
+    (["--ns", "0"], "n_s must be >= 1, got 0", True),
+]
+
+
+@pytest.mark.parametrize("flags, cause, before_read", BAD_SETTINGS,
+                         ids=["lr-nan", "lr-inf", "lr-neg", "inner-epochs-0",
+                              "layers-0", "dim-0", "seed-neg", "k0-0",
+                              "ns-0"])
 def test_fit_bad_setting_exit_1_before_graph_fit(tmp_path, capsys,
-                                                 monkeypatch, flags, cause):
+                                                 monkeypatch, flags, cause,
+                                                 before_read):
     def fail(*args, **kwargs):
         raise AssertionError("a graph fit ran before the bad flag was caught")
     monkeypatch.setattr("anchorgae.pipeline.fit_anchor_graph", fail)
+    if before_read:
+        def no_read(*args, **kwargs):
+            raise AssertionError("the dataset was read before the bad flag "
+                                 "was caught")
+        monkeypatch.setattr("anchorgae.cli._load_dataset", no_read)
     assert main(fit_args(tmp_path) + flags) == 1  # the last value wins
     err = capsys.readouterr().err
     assert cause in err and "runtime failure" not in err
@@ -295,8 +323,10 @@ def test_thread_cap_env_applies(tmp_path, monkeypatch, capsys):
     args = ["eval", "--pred", str(pred), "--truth", str(pred)]
     pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS")
+    # A copy, so the pool sizes main sets end with this test.
+    monkeypatch.setattr(os, "environ", os.environ.copy())
     for var in pools:
-        monkeypatch.delenv(var, raising=False)
+        os.environ.pop(var, None)
     for bad in ("0", "-1", "zebra"):
         monkeypatch.setenv("ANCHORGAE_THREADS", bad)
         assert main(args) == 1
@@ -306,3 +336,8 @@ def test_thread_cap_env_applies(tmp_path, monkeypatch, capsys):
         assert not any(var in os.environ for var in pools)
     monkeypatch.setenv("ANCHORGAE_THREADS", "1")
     assert main(args) == 0
+    # A pool size already set is capped too.
+    for var in pools:
+        monkeypatch.setenv(var, "2")
+    assert main(args) == 0
+    assert [os.environ[var] for var in pools] == ["1"] * 4

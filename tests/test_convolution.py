@@ -83,7 +83,7 @@ def test_identity_graph_single_linear_layer_is_xw():
     params = init_params([4, 2], rng)
     g = identity_graph(6)
     cache = conv_forward_samples(g, g.pool(x), params)
-    z = cache.out
+    z = g.b_dot(cache.top)
     assert np.max(np.abs(z - x @ params.layers[0])) < 1e-12
     assert len(cache.inputs) == 1 and cache.activations == []
     assert cache.top.shape == (g.m, 2)
@@ -99,8 +99,8 @@ def test_factored_matches_dense_oracle_both_branches():
         params = init_params([5, 6, 3], rng)
         _, a, a_t = dense_adjacencies(g.indices, g.weights, g.m)
         p0, a0 = first_layer_inputs(g, x, c)
-        z = conv_forward_samples(g, p0, params).out
-        z_t = conv_forward_anchors(g, a0, params).out
+        z = g.b_dot(conv_forward_samples(g, p0, params).top)
+        z_t = conv_forward_anchors(g, a0, params).top
         assert np.max(np.abs(z - dense_gcn_forward(a, x, params))) < 1e-8
         assert np.max(np.abs(z_t - dense_gcn_forward(a_t, c, params))) < 1e-8
 
@@ -133,9 +133,9 @@ def test_given_first_layer_aggregate_is_used_uncopied():
     params = init_params([4, 5, 3], rng)
     p0, a0 = g.pool(x), apply_anchor_adjacency(g, c)
     cache_s = conv_forward_samples(g, p0, params)
-    z = cache_s.out
+    z = g.b_dot(cache_s.top)
     cache_a = conv_forward_anchors(g, a0, params)
-    z_t = cache_a.out
+    z_t = cache_a.top
     assert cache_s.inputs[0] is p0 and cache_a.inputs[0] is a0
     ref_z, _, _ = aggregated_forward(g, x, params, apply_sample_adjacency)
     ref_zt, _, _ = aggregated_forward(g, c, params, factored_anchor_adjacency)
@@ -151,7 +151,7 @@ def test_sample_layers_match_aggregate_then_multiply_oracle():
         x = rng.normal(size=(n, dims[0]))
         params = init_params(dims, rng)
         cache = conv_forward_samples(g, g.pool(x), params)
-        z = cache.out
+        z = g.b_dot(cache.top)
         ref_z, aggregates, pre = aggregated_forward(g, x, params,
                                                     apply_sample_adjacency)
         assert np.max(np.abs(z - ref_z)) < 1e-12
@@ -175,7 +175,7 @@ def test_relu_kills_all_negative_preactivations():
     params = EncoderParams([w1, w2])
     g = identity_graph(5)
     cache = conv_forward_samples(g, g.pool(x), params)
-    z = cache.out
+    z = g.b_dot(cache.top)
     assert np.array_equal(z, np.zeros((5, 2)))
     assert not cache.activations[0].any()
 
@@ -187,8 +187,8 @@ def test_siamese_identity_square_graph():
     x = rng.normal(size=(n, 3))
     params = init_params([3, 4, 2], rng)
     p0, a0 = first_layer_inputs(g, x, x)
-    z = conv_forward_samples(g, p0, params).out
-    z_t = conv_forward_anchors(g, a0, params).out
+    z = g.b_dot(conv_forward_samples(g, p0, params).top)
+    z_t = conv_forward_anchors(g, a0, params).top
     assert np.max(np.abs(z - z_t)) < 1e-12
 
 
@@ -198,7 +198,7 @@ def test_row_stochastic_smoothing_convex_combination():
     g = random_graph(n, m, k, rng)
     x = rng.normal(size=(n, d))
     params = EncoderParams([np.eye(d)])
-    z = conv_forward_samples(g, g.pool(x), params).out
+    z = g.b_dot(conv_forward_samples(g, g.pool(x), params).top)
     for col in range(d):
         assert z[:, col].min() >= x[:, col].min() - 1e-12
         assert z[:, col].max() <= x[:, col].max() + 1e-12

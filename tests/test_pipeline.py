@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -464,8 +466,12 @@ def test_fixed_k_uniformity_trend_once_well_trained():
 
 
 def test_fit_cap_has_one_default():
-    assert AnchorGaeConfig(clusters=2).fit_max_iters == \
-        ConnectivitySolveConfig(k=1).max_iters
+    # The cap is the module constant; the run config only reports it.
+    assert AnchorGaeConfig(clusters=2).fit_max_iters == FIT_MAX_ITERS
+    with pytest.raises(TypeError):
+        AnchorGaeConfig(clusters=2, fit_max_iters=3)
+    assert [f.name for f in dataclasses.fields(ConnectivitySolveConfig)] \
+        == ["k"]
 
 
 def test_config_validation():

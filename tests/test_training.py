@@ -20,8 +20,8 @@ from anchorgae.convolution import (
     pool_t,
 )
 from anchorgae.numerics import make_rng, row_blocks
+from anchorgae.pipeline import AnchorGaeConfig
 from anchorgae.training import (
-    TrainConfig,
     TrainingDiverged,
     backward,
     decode,
@@ -211,8 +211,8 @@ def test_backward_matches_central_differences(monkeypatch):
         cache_a = conv_forward_anchors(g, a0, params)
 
         def value():
-            z2 = conv_forward_samples(g, p0, params).out
-            zt2 = conv_forward_anchors(g, a0, params).out
+            z2 = g.b_dot(conv_forward_samples(g, p0, params).top)
+            zt2 = conv_forward_anchors(g, a0, params).top
             return loss(g, on_support(g, decode(z2, zt2)))
 
         refs = numerical_grads(value, params)
@@ -228,7 +228,7 @@ def test_branch_backprop_linear_in_upstream():
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
     cache_s = conv_forward_samples(g, p0, params)
-    upstream = rng.normal(size=cache_s.out.shape)
+    upstream = rng.normal(size=(g.n, cache_s.top.shape[1]))
     g1 = sample_branch_grads(g, cache_s, params, upstream)
     g2 = sample_branch_grads(g, cache_s, params, 3.0 * upstream)
     ref = aggregated_sample_grads(g, x, params, upstream)
@@ -242,9 +242,9 @@ def test_backward_sums_both_siamese_branches():
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
     cache_s = conv_forward_samples(g, p0, params)
-    z = cache_s.out
+    z = g.b_dot(cache_s.top)
     cache_a = conv_forward_anchors(g, a0, params)
-    z_t = cache_a.out
+    z_t = cache_a.top
     q = decode(z, z_t)
     total, _ = backward(g, cache_s, cache_a, params)
 
@@ -302,12 +302,11 @@ def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
 
     p0, a0 = first_layer_inputs(g, x, c)
     cache_s = conv_forward_samples(g, p0, params)
-    z = cache_s.out
+    z = g.b_dot(cache_s.top)
     cache_a = conv_forward_anchors(g, a0, params)
-    z_t = cache_a.out
-    # The cache holds y, the top m-row product, and z = B y.
+    z_t = cache_a.top
+    # The cache holds y, the top m-row product; z = B y.
     assert np.array_equal(cache_s.top, cache_s.inputs[-1] @ params.layers[-1])
-    assert np.array_equal(z, g.b_dot(cache_s.top))
     ref_z, ref_zt, ref_q = whole_matrix_decoder_grads(g, z, z_t)
     assert_close(decode_on_support(g, z, z_t), on_support(g, ref_q))
     ref_s = aggregated_sample_grads(g, x, params, ref_z)
@@ -343,8 +342,9 @@ def test_underflow_warns_once_per_call_across_blocks(monkeypatch):
     idx = np.tile([1, 2], (n, 1))
     idx[-1] = [0, 1]
     g = AnchorGraph(idx, np.full((n, 2), 0.5), 3)
-    cache_s = ForwardCache([], [], np.array([[400.0], [0.0], [0.0]]), g.b_dot)
-    assert np.array_equal(cache_s.out[:, 0], [0.0, 0.0, 0.0, 0.0, 200.0])
+    cache_s = ForwardCache([], [], np.array([[400.0], [0.0], [0.0]]))
+    assert np.array_equal(g.b_dot(cache_s.top)[:, 0],
+                          [0.0, 0.0, 0.0, 0.0, 200.0])
     z_t = np.array([[0.0], [100.0], [200.0]])
     for _ in each_pass(monkeypatch):
         with warnings.catch_warnings(record=True) as caught:
@@ -378,8 +378,8 @@ def test_rule_picks_pass_at_boundary(monkeypatch, width, factored):
                         lambda *args: calls.append(1) or real_decode(*args))
     grads, _ = backward(g, cache_s, cache_a, params)
     assert (not calls) == factored
-    ref_z, ref_zt, _ = whole_matrix_decoder_grads(g, cache_s.out,
-                                                  cache_a.out)
+    ref_z, ref_zt, _ = whole_matrix_decoder_grads(g, g.b_dot(cache_s.top),
+                                                  cache_a.top)
     ref_s = aggregated_sample_grads(g, x, params, ref_z)
     ref_a = aggregated_anchor_grads(g, c, params, ref_zt)
     for grad, s, a in zip(grads, ref_s, ref_a):
@@ -393,7 +393,7 @@ def test_train_nan_embeddings_raise_diverged(monkeypatch):
     p0, a0 = first_layer_inputs(g, x, c)
     params.layers[0][0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="epoch 0"):
-        train(g, p0, a0, params, TrainConfig(inner_epochs=3))
+        train(g, p0, a0, params, 3, 1e-3, "adam")
 
 
 def test_blocked_pass_holds_no_sample_by_anchor_array():
@@ -413,16 +413,16 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
         params = init_params(dims, rng)
         p0, a0 = first_layer_inputs(g, x, c)
         cache_s = conv_forward_samples(g, p0, params)
-        z = cache_s.out
+        z = g.b_dot(cache_s.top)
         cache_a = conv_forward_anchors(g, a0, params)
-        z_t = cache_a.out
+        z_t = cache_a.top
 
         assert peak_bytes(lambda: backward(g, cache_s, cache_a, params)) \
             < n_by_m_bytes
         assert peak_bytes(lambda: decode_on_support(g, z, z_t)) \
             < n_by_m_bytes
         assert peak_bytes(lambda: train(g, *first_layer_inputs(g, x, c),
-                                        params, TrainConfig(inner_epochs=2))) \
+                                        params, 2, 1e-3, "adam")) \
             < n_by_m_bytes
 
 
@@ -448,14 +448,13 @@ def test_train_holds_one_sample_array_per_hidden_layer(monkeypatch, m, k, d_in,
     b_dot = g.b_dot
     monkeypatch.setattr(g, "b_dot",
                         lambda y: spreads.append(y.shape[1]) or b_dot(y))
-    cfg = TrainConfig(inner_epochs=epochs)
-    peak = peak_bytes(lambda: train(g, p0, a0, params, cfg))
+    peak = peak_bytes(lambda: train(g, p0, a0, params, epochs, 1e-3, "adam"))
     assert peak < bound * n * dims[1] * 8
     assert spreads.count(dims[-1]) == (0 if factored else epochs)
     assert spreads.count(dims[1]) == 2 * epochs
 
 
-def test_graph_fit_holds_one_sample_by_anchor_array():
+def test_graph_fit_holds_one_sample_by_anchor_array(monkeypatch):
     # One n x m array lives at a time, the distances: the previous ones
     # are freed before the distance call, which forms its result in the
     # product's buffer, and the distance call's norm sums and the row
@@ -464,7 +463,8 @@ def test_graph_fit_holds_one_sample_by_anchor_array():
     rng = make_rng(70)
     x = rng.normal(size=(n, 8))
     anchors = init_anchors(x, m, rng)
-    cfg = ConnectivitySolveConfig(k=5, max_iters=3)
+    monkeypatch.setattr("anchorgae.anchor_graph.FIT_MAX_ITERS", 3)
+    cfg = ConnectivitySolveConfig(k=5)
     assert peak_bytes(lambda: fit_anchor_graph(x, anchors, cfg)) \
         < 1.3 * n * m * 8
 
@@ -482,7 +482,7 @@ def test_train_calls_loss_once_per_epoch(monkeypatch):
     rng = make_rng(70)
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
-    train(g, p0, a0, params, TrainConfig(inner_epochs=4))
+    train(g, p0, a0, params, 4, 1e-3, "adam")
     assert calls == [(g.n, g.k)] * 4
 
 
@@ -493,9 +493,7 @@ def test_train_zero_learning_rate_is_noop():
     g, x, c, params = random_instance(rng)
     p0, a0 = first_layer_inputs(g, x, c)
     before = [w.copy() for w in params.layers]
-    trace = train(g, p0, a0, params, TrainConfig(inner_epochs=5,
-                                                 learning_rate=0.0,
-                                                 optimizer="gd"))
+    trace = train(g, p0, a0, params, 5, 0.0, "gd")
     for w, orig in zip(params.layers, before):
         assert np.array_equal(w, orig)
     assert np.allclose(trace, trace[0])
@@ -505,9 +503,7 @@ def test_train_gd_descends_on_smooth_instance():
     rng = make_rng(60)
     g, x, c, params = random_instance(rng, n=20, m=5, k=2)
     p0, a0 = first_layer_inputs(g, x, c)
-    trace = train(g, p0, a0, params, TrainConfig(inner_epochs=40,
-                                                 learning_rate=1e-3,
-                                                 optimizer="gd"))
+    trace = train(g, p0, a0, params, 40, 1e-3, "gd")
     assert trace[-1] < trace[0]
     head = trace[:10]
     assert all(b <= a + 1e-9 for a, b in zip(head, head[1:]))
@@ -517,7 +513,7 @@ def test_train_adam_reduces_loss():
     rng = make_rng(61)
     g, x, c, params = random_instance(rng, n=25, m=6, k=2)
     p0, a0 = first_layer_inputs(g, x, c)
-    trace = train(g, p0, a0, params, TrainConfig(inner_epochs=60))
+    trace = train(g, p0, a0, params, 60, 1e-3, "adam")
     assert trace[-1] < trace[0]
     assert (trace >= 0).all() and np.isfinite(trace).all()
 
@@ -527,7 +523,7 @@ def test_train_deterministic_given_seed():
         rng = make_rng(62)
         g, x, c, params = random_instance(rng)
         p0, a0 = first_layer_inputs(g, x, c)
-        trace = train(g, p0, a0, params, TrainConfig(inner_epochs=15))
+        trace = train(g, p0, a0, params, 15, 1e-3, "adam")
         return trace, [w.copy() for w in params.layers]
 
     t1, w1 = one_run()
@@ -543,19 +539,17 @@ def test_train_aborts_on_divergence_naming_epoch():
     p0, a0 = first_layer_inputs(g, x, c)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged, match="epoch"):
-            train(g, p0, a0, params, TrainConfig(inner_epochs=50,
-                                                 learning_rate=1e160,
-                                                 optimizer="gd"))
+            train(g, p0, a0, params, 50, 1e160, "gd")
 
 
-def reaggregating_train(g, x, c, params, cfg):
+def reaggregating_train(g, x, c, params, epochs, learning_rate):
     """The adam loop of train by the aggregate-then-multiply order,
     aggregating x and c afresh every epoch."""
     beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
     trace = []
     adam_m = [np.zeros_like(w) for w in params.layers]
     adam_v = [np.zeros_like(w) for w in params.layers]
-    for epoch in range(cfg.inner_epochs):
+    for epoch in range(epochs):
         z, _, _ = aggregated_forward(g, x, params, apply_sample_adjacency)
         z_t, _, _ = aggregated_forward(g, c, params, factored_anchor_adjacency)
         grad_z, grad_zt, q = whole_matrix_decoder_grads(g, z, z_t)
@@ -569,7 +563,7 @@ def reaggregating_train(g, x, c, params, cfg):
             v1[...] = beta2 * v1 + (1.0 - beta2) * grad * grad
             m_hat = m1 / (1.0 - beta1 ** t)
             v_hat = v1 / (1.0 - beta2 ** t)
-            w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+            w -= learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
     return np.array(trace)
 
 
@@ -578,9 +572,8 @@ def test_train_hoisted_aggregates_match_reaggregating_loop():
     g, x, c, params = random_instance(rng, n=30, m=6, k=3)
     p0, a0 = first_layer_inputs(g, x, c)
     ref_params = copy_params(params)
-    cfg = TrainConfig(inner_epochs=3, learning_rate=1e-2)
-    trace = train(g, p0, a0, params, cfg)
-    ref_trace = reaggregating_train(g, x, c, ref_params, cfg)
+    trace = train(g, p0, a0, params, 3, 1e-2, "adam")
+    ref_trace = reaggregating_train(g, x, c, ref_params, 3, 1e-2)
     assert np.max(np.abs(trace - ref_trace)) < 1e-10
     for w, ref in zip(params.layers, ref_params.layers):
         assert np.max(np.abs(w - ref)) < 1e-10
@@ -599,15 +592,17 @@ def test_train_allocates_no_sample_by_input_array():
     c = rng.random((m, d))
     params = init_params([d, 32, 16], rng)
     assert peak_bytes(lambda: train(g, g.pool(x), apply_anchor_adjacency(g, c),
-                                    params, TrainConfig(inner_epochs=2))) \
+                                    params, 2, 1e-3, "adam")) \
         < n * d * 8
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(inner_epochs=0)
+    # The training settings are checked by the run config, their one home.
+    with pytest.raises(ValueError, match="inner_epochs must be >= 1, got 0"):
+        AnchorGaeConfig(clusters=2, inner_epochs=0)
     for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=bad)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="sgd")
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            AnchorGaeConfig(clusters=2, learning_rate=bad)
+    with pytest.raises(ValueError, match="optimizer must be 'gd' or 'adam'"):
+        AnchorGaeConfig(clusters=2, optimizer="sgd")
+    AnchorGaeConfig(clusters=2, learning_rate=0.0)  # no-op steps are allowed
