@@ -57,11 +57,12 @@ def row_blocks(n: int, m: int, min_rows: int = 1):
 def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a (n x d) and b (m x d).
 
-    Uses the norm expansion with a single BLAS product; catastrophic-
-    cancellation negatives are clamped to 0. The distances are formed in
-    the product's own buffer, one row block at a time, as (sq_a + sq_b) -
-    2 * product with the norm sums in one reused block, so one n x m array
-    plus one block is allocated.
+    Uses the norm expansion with a single BLAS product, a (-2 b)^T, whose
+    -2 is exact; catastrophic-cancellation negatives are clamped to 0. The
+    distances are formed in the product's own buffer, one row block at a
+    time, by adding the norm sums sq_a + sq_b from one reused block, so one
+    n x m array plus one block is allocated and each block takes three
+    sweeps.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -69,7 +70,7 @@ def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"pairwise_sq_dist needs matching feature dims, got {a.shape} and {b.shape}"
         )
-    d = a @ b.T
+    d = a @ (-2.0 * b).T
     if d.size == 0:  # no first block at n = 0; row_blocks divides by m
         return d
     sq_a = np.einsum("ij,ij->i", a, a)
@@ -80,8 +81,7 @@ def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         block = d[rows]
         sums = norms[:block.shape[0]]
         np.add(sq_a[rows, None], sq_b[None, :], out=sums)
-        block *= 2.0
-        np.subtract(sums, block, out=block)
+        block += sums
         np.maximum(block, 0.0, out=block)
     return d
 

@@ -21,7 +21,13 @@ graph support (n x k), for the loss.
   B C up to a per-row constant, with C = 2 y t^T - 1 |t|^2^T (m x m), and
   the residual taken through B^T is the m x m matrix B^T q - B^T B. Each
   row then costs two sparse products of k m in place of three dense ones
-  of e m, and the gradients come from m x m products.
+  of e m, and the gradients come from m x m products. C's rows are
+  shifted by their maxima, so every logit is <= 0 and a block takes two
+  sweeps, exp and row sum. The block is never divided by its row sums:
+  they divide its entries on the support (q_sup) and, in a per-block
+  B^T, B's weights. A row whose best support logit would leave a
+  reconstruction at Q_FLOOR subnormal is shifted by its own max first
+  (SHIFT_GUARD_LOGIT).
 
 The sparse products slow down as k and m grow, so the factored pass runs
 only when k sqrt(m) <= FACTORED_K_ROOT_M_PER_WIDTH * e, for embedding
@@ -52,6 +58,13 @@ from .convolution import (
 from .numerics import pairwise_sq_dist, row_blocks
 
 Q_FLOOR = 1e-300
+
+# The factored decoder pass exponentiates its logits (all <= 0) unshifted.
+# A row whose best logit on the graph support is at least this has softmax
+# sum s >= tiny / Q_FLOOR, so every q = e / s >= Q_FLOOR has a normal
+# exponential e; a row below it is shifted by its own max first, so s >= 1.
+# ln(tiny / Q_FLOOR) is about -17.6.
+SHIFT_GUARD_LOGIT = float(np.log(np.finfo(float).tiny / Q_FLOOR))
 
 # The decoder runs its factored pass when
 # k sqrt(m) <= FACTORED_K_ROOT_M_PER_WIDTH * e (sparsity k, m anchors,
@@ -147,29 +160,43 @@ def _factored(g: AnchorGraph, width: int) -> bool:
 
 def _factored_blocks(g: AnchorGraph
                      ) -> list[tuple[slice, sp.csr_matrix, sp.csc_matrix]]:
-    """g's rows as (rows, CSR of B[rows], its CSC transpose view) blocks for
-    the factored pass, each of at least m rows, so that adding a block's
-    m x m product to the residual costs no more than one sweep over the
-    block. A block holds max(BLOCK_ENTRIES, m^2) entries. The transpose
-    shares the block's arrays; keeping it saves building it every epoch."""
+    """g's rows as (rows, CSR of B[rows], CSC of B[rows]^T) blocks for the
+    factored pass, each of at least m rows, so that adding a block's m x m
+    product to the residual costs no more than one sweep over the block. A
+    block holds max(BLOCK_ENTRIES, m^2) entries. The CSC has the CSR's
+    structure but its own data array, which the pass overwrites every
+    epoch with B[rows]'s weights divided by their row's softmax sum. train
+    builds the blocks once per graph."""
     k = g.k
     blocks = []
     for rows in row_blocks(g.n, g.m, min_rows=g.m):
         n_rows = rows.stop - rows.start
         indptr = np.arange(0, (n_rows + 1) * k, k, dtype=np.int64)
-        b = sp.csr_matrix(
-            (g.weights[rows].ravel(), g.indices[rows].ravel(), indptr),
-            shape=(n_rows, g.m))
-        blocks.append((rows, b, b.T))
+        indices = g.indices[rows].ravel()
+        b = sp.csr_matrix((g.weights[rows].ravel(), indices, indptr),
+                          shape=(n_rows, g.m))
+        bt = sp.csc_matrix((np.empty(n_rows * k), indices, indptr),
+                           shape=(g.m, n_rows))
+        blocks.append((rows, b, bt))
     return blocks
 
 
-def _decode_logits(logits: np.ndarray) -> np.ndarray:
-    """Row softmax of logits, in place; each row is shifted by its max."""
-    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logits)
+def _exp_block(logits: np.ndarray, support: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponentials of a block of logits, all <= 0, in place, with their row
+    sums and their entries on support (rows x k anchor ids): (e, s, e_sup),
+    so that the block's softmax is e / s. A row whose best support logit
+    lies below SHIFT_GUARD_LOGIT is first shifted by its own max."""
+    sup = np.take_along_axis(logits, support, axis=1)
+    low = sup.max(axis=1) < SHIFT_GUARD_LOGIT
+    if low.any():
+        # Two whole-block sweeps, cheaper than indexing the rows out when
+        # many fire; a shift of 0 leaves the other rows' bits unchanged.
+        shift = np.where(low, logits.max(axis=1), 0.0)[:, None]
+        logits -= shift
+        sup -= shift
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
+    return logits, logits.sum(axis=1), np.exp(sup, out=sup)
 
 
 def _dense_decoder_grads(g: AnchorGraph, z: np.ndarray, z_t: np.ndarray
@@ -204,15 +231,22 @@ def _factored_decoder_grads(g: AnchorGraph, y: np.ndarray, z_t: np.ndarray,
     """The factored pass of _decoder_grads, through m x m matrices.
 
     Since z = B y and B's rows sum to 1, the logits -|z_i - t_j|^2 equal
-    (B C)_ij up to a per-row constant, with C = 2 y t^T - 1 |t|^2^T; the
-    target is B itself, so the residual taken through B^T is
-    E = B^T (q - B) = sum over blocks of B_blk^T q_blk, minus the Gram
-    B^T B = diag(delta) times the anchor adjacency. Then B^T dloss/dz = 2 E t, and dloss/dt = 2 E^T y -
-    2 diag(1^T E) t. blocks is _factored_blocks(g).
+    (B C)_ij up to a per-row constant, with C = 2 y t^T - 1 |t|^2^T. Each
+    row of C is first shifted by its own max: that moves row i of B C by
+    the constant sum_j B_ij max(C_j), so the softmax is unchanged, and
+    leaves every logit <= 0, so exp cannot overflow and no block is
+    shifted by its row maxima (_exp_block guards underflow from the
+    support logits). With a block's exponentials e and row sums s, q_sup
+    is e_sup / s, and the block itself is never divided: the target is B,
+    so the residual taken through B^T is E = B^T (q - B) = sum over blocks
+    of (diag(1/s) B_blk)^T e, minus the Gram B^T B = diag(delta) times the
+    anchor adjacency. Then B^T dloss/dz = 2 E t, and
+    dloss/dt = 2 E^T y - 2 diag(1^T E) t. blocks is _factored_blocks(g).
     """
     c = y @ z_t.T
     c *= 2.0
     c -= np.einsum("ij,ij->i", z_t, z_t)
+    c -= c.max(axis=1, keepdims=True)
     # B^T B from the cached anchor adjacency diag(1/delta) B^T B, in C order
     # as each block's product is: the adjacency is Fortran-ordered, and
     # adding a C-ordered block into a Fortran array strides across rows
@@ -220,9 +254,10 @@ def _factored_decoder_grads(g: AnchorGraph, y: np.ndarray, z_t: np.ndarray,
     resid = np.multiply(g.anchor_adjacency(), -g.delta[:, None], order="C")
     q_sup = np.empty_like(g.weights)
     for rows, b, bt in blocks:
-        q = _decode_logits(b @ c)
-        q_sup[rows] = np.take_along_axis(q, g.indices[rows], axis=1)
-        resid += bt @ q
+        e, s, e_sup = _exp_block(b @ c, g.indices[rows])
+        np.divide(e_sup, s[:, None], out=q_sup[rows])
+        np.divide(g.weights[rows], s[:, None], out=bt.data.reshape(-1, g.k))
+        resid += bt @ e
     grad_y = 2.0 * (resid @ z_t)
     grad_zt = 2.0 * (resid.T @ y) - 2.0 * resid.sum(axis=0)[:, None] * z_t
     return grad_y, grad_zt, q_sup
@@ -295,10 +330,12 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
     adam_v = [np.zeros_like(w) for w in params.layers]
     for epoch in range(epochs):
         # The caches are backward's arguments only, so they are freed when
-        # it returns, before the next epoch's forward pass.
-        grads, q_sup = backward(g, conv_forward_samples(g, p0, params),
-                                conv_forward_anchors(g, a0, params), params,
-                                blocks)
+        # it returns, before the next epoch's forward pass. A diverging
+        # embedding overflows in here; the loss check below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads, q_sup = backward(g, conv_forward_samples(g, p0, params),
+                                    conv_forward_anchors(g, a0, params),
+                                    params, blocks)
         value = loss(g, q_sup)
         if not np.isfinite(value):
             raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")

@@ -127,6 +127,12 @@ PROBES = [
      LR_PROBE + ["--optimizer", "gd", "--inner-epochs", "1", "--lr", "1e80"],
      2, ["outer iteration 0, graph refit", "overflow", "--lr 1e+80"],
      ["rescale"]),
+    # A second step at that rate overflows inside training, which reports
+    # the non-finite loss before any refit.
+    ("lr-1e80-gd-two-epochs", None,
+     LR_PROBE + ["--optimizer", "gd", "--inner-epochs", "2", "--lr", "1e80"],
+     2, ["outer iteration 0, training", "loss became non-finite at epoch 1"],
+     []),
     # The same step with the graph frozen: no refit checks the embedding,
     # so the round's snapshot does.
     ("lr-1e80-gd-fixed-b", None,

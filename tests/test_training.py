@@ -188,14 +188,19 @@ def test_backward_zero_at_exact_reconstruction(monkeypatch):
         done = [0]
 
         def exact_block(block, *_):
-            # Stands in for both passes' block decoders (decode on the
-            # dense side, _decode_logits on the factored side).
+            # Stands in for the dense pass's block decoder, decode.
             rows = slice(done[0], done[0] + block.shape[0])
             done[0] = rows.stop
             return q[rows].copy()
 
+        def exact_exp_block(logits, support):
+            # Stands in for the factored pass's _exp_block: exponentials
+            # equal to q, with unit row sums.
+            e = exact_block(logits)
+            return e, np.ones(e.shape[0]), np.take_along_axis(e, support, 1)
+
         monkeypatch.setattr(training, "decode", exact_block)
-        monkeypatch.setattr(training, "_decode_logits", exact_block)
+        monkeypatch.setattr(training, "_exp_block", exact_exp_block)
         grads, _ = backward(g, cache_s, cache_a, params)
         assert done[0] == g.n
         for grad in grads:
@@ -323,6 +328,44 @@ def test_blocked_pass_matches_whole_matrix_oracle(monkeypatch, n,
             assert_close(grad, s + a)
         assert_close(q_sup, on_support(g, ref_q))
         assert_close(loss(g, q_sup), whole_matrix_loss(g, ref_q))
+
+
+# Anchor embeddings near y at `scale`. At scale 30 every logit of a row
+# that spreads its weight, its support included, lies thousands below 0,
+# where exp underflows to 0 unless _exp_block shifts the row by its max;
+# rows 0-4, with 0.998 of their weight on one anchor, stay above the guard.
+@pytest.mark.parametrize("scale, guard_fires", [(1.0, False), (30.0, True)],
+                         ids=["normal", "guard-fires"])
+def test_factored_pass_matches_whole_matrix_oracle(monkeypatch, scale,
+                                                   guard_fires):
+    rng = make_rng(74)
+    g = random_bench_graph(23, 6, 3, rng)
+    weights = g.weights.copy()
+    weights[:5] = [0.998, 0.001, 0.001]
+    g = AnchorGraph(g.indices, weights, g.m)
+    y = scale * rng.normal(size=(g.m, 3))
+    z_t = y + 0.1 * scale * rng.normal(size=y.shape)
+    ref_z, ref_zt, ref_q = whole_matrix_decoder_grads(g, g.b_dot(y), z_t)
+
+    blocks = training._factored_blocks(g)
+    grad_y, grad_zt, q_sup = training._factored_decoder_grads(g, y, z_t,
+                                                              blocks)
+    for value in (grad_y, grad_zt, q_sup):
+        assert np.isfinite(value).all()
+    assert_close(grad_y, g.bt_dot(ref_z))
+    assert_close(grad_zt, ref_zt)
+    assert_close(q_sup, on_support(g, ref_q))
+
+    # Without the guard the normal instance gives the same bits, and the
+    # other one underflows every exponential of a row to 0.
+    monkeypatch.setattr(training, "SHIFT_GUARD_LOGIT", -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, unguarded = training._factored_decoder_grads(g, y, z_t, blocks)
+    if guard_fires:
+        assert np.isfinite(unguarded[:5]).all()
+        assert not np.isfinite(unguarded[5:]).all(axis=1).any()
+    else:
+        assert np.array_equal(unguarded, q_sup)
 
 
 def test_decode_in_place_softmax_same_bits_as_oracle():
