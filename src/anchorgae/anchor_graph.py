@@ -30,12 +30,12 @@ class DistanceOverflow(ValueError):
     """A fit's squared distances overflow float64."""
 
 
-def _dead_anchors(indices: np.ndarray, weights: np.ndarray, m: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor degrees (column sums of B) and the ids of the anchors whose
-    degree is at or below DEAD_ANCHOR_TOL."""
-    delta = np.bincount(indices.ravel(), weights=weights.ravel(), minlength=m)
-    return delta, np.flatnonzero(delta <= DEAD_ANCHOR_TOL)
+class DeadAnchors(ValueError):
+    """A graph has anchors of zero degree; dead holds their ids."""
+
+    def __init__(self, dead: np.ndarray):
+        super().__init__(f"anchors {dead.tolist()} have zero degree")
+        self.dead = dead
 
 
 @dataclass
@@ -45,10 +45,10 @@ class AnchorGraph:
     indices[i] holds the k anchor ids of row i (ascending distance order)
     and weights[i] the matching probabilities (sum 1). delta, the vector of
     anchor degrees (column sums of B), is derived at construction, which
-    raises ValueError if any degree is at or below DEAD_ANCHOR_TOL: every
-    operator on the graph divides by delta. The sparse form of B and the
-    anchor adjacency are built on first use and cached, so B must not change
-    after.
+    raises DeadAnchors, a ValueError carrying their ids, if any degree is at
+    or below DEAD_ANCHOR_TOL: every operator on the graph divides by delta.
+    The sparse form of B and the anchor adjacency are built on first use and
+    cached, so B must not change after.
     """
 
     indices: np.ndarray
@@ -62,9 +62,11 @@ class AnchorGraph:
                                            compare=False)
 
     def __post_init__(self):
-        self.delta, dead = _dead_anchors(self.indices, self.weights, self.m)
+        self.delta = np.bincount(self.indices.ravel(),
+                                 weights=self.weights.ravel(), minlength=self.m)
+        dead = np.flatnonzero(self.delta <= DEAD_ANCHOR_TOL)
         if dead.size:
-            raise ValueError(f"anchors {dead.tolist()} have zero degree")
+            raise DeadAnchors(dead)
 
     @property
     def n(self) -> int:
@@ -139,23 +141,31 @@ def init_anchors(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     return x[picks].copy()
 
 
-def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
+def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False,
+                near: np.ndarray | None = None):
     """Closed-form k-sparse rows for a whole distance matrix (n x m).
 
-    Returns (indices (n,k), weights (n,k), gamma (n,), d_sup (n,k)), d_sup
-    holding each support entry's distance. Only the k+1
-    nearest anchors of a row enter its solution. Tie rule: they are the
-    first k+1 anchors of the row ordered by distance and then by anchor
-    index, so a tie goes to the lowest index, and they are returned in that
-    order (the k-th is the last support entry, the (k+1)-th the boundary).
+    Returns (nearest (n,k+1), weights (n,k), gamma (n,), d_sup (n,k)).
+    nearest holds each row's k+1 nearest anchors in order: its first k
+    columns are the support, its last the boundary anchor; d_sup holds each
+    support entry's distance. Only the k+1 nearest anchors of a row enter
+    its solution. Tie rule: they are the first k+1 anchors of the row
+    ordered by distance and then by anchor index, so a tie goes to the
+    lowest index.
 
-    No row is fully sorted. Over row blocks (numerics.row_blocks), a
-    partial selection (np.partition) gives each row's (k+1)-th smallest
-    distance t and the anchors at or below t are marked. A row with more
-    than k+1 marks has a tie at t: it keeps every anchor below t and fills
-    the places left with the lowest-index anchors at t. The k+1 marked ids
-    come out ascending, so a stable sort of their distances applies the tie
-    rule. dists must hold no NaN.
+    No row is fully sorted. Over row blocks (numerics.row_blocks), each row
+    takes a bound t at or above its (k+1)-th smallest distance, and its
+    candidates are the anchors at distance <= t. Every anchor before the
+    (k+1)-th in the tie-rule order lies at or below that distance, so the
+    candidates hold the k+1 nearest. They are scattered, in ascending id
+    order, into a block-sized array padded with +inf, and a stable sort of
+    each padded row applies the tie rule. Without near, t is the (k+1)-th
+    smallest distance itself (np.partition). near, the k+1 nearest of an
+    earlier solve, gives t as the largest distance from the row to those
+    anchors: any k+1 distinct anchors bound the (k+1)-th smallest distance
+    from above, so the result is the same, wherever the anchors have moved
+    since. A bound far above the (k+1)-th distance only widens the padded
+    rows, up to m columns. dists must hold no NaN.
 
     A zero denominator (the k+1 nearest all at equal distance) falls back
     to the uniform 1/k row, which is the limit of the formula under a
@@ -166,25 +176,29 @@ def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
     if not (1 <= k < m):
         raise ValueError(f"need 1 <= k < m={m}, got k={k}")
     nearest = np.empty((n, k + 1), dtype=np.intp)
+    d_near = np.empty((n, k + 1))
     for rows in row_blocks(n, m):
         block = dists[rows]
-        bound = np.partition(block, k, axis=1)[:, k:k + 1]
-        marked = block <= bound
-        if np.count_nonzero(marked) > marked.shape[0] * (k + 1):
-            tied = np.flatnonzero(np.count_nonzero(marked, axis=1) > k + 1)
-            sub, sub_bound = block[tied], bound[tied]
-            inside = sub < sub_bound
-            at = sub == sub_bound
-            free = k + 1 - np.count_nonzero(inside, axis=1)
-            marked[tied] = inside | (at & (np.cumsum(at, axis=1)
-                                           <= free[:, None]))
-        # Flat ids, row-major: each row's k+1 ids come out ascending.
-        nearest[rows] = np.flatnonzero(marked).reshape(-1, k + 1) % m
-    d_near = np.take_along_axis(dists, nearest, axis=1)
-    by_dist = np.argsort(d_near, axis=1, kind="stable")
-    nearest = np.take_along_axis(nearest, by_dist, axis=1)
-    d_near = np.take_along_axis(d_near, by_dist, axis=1)
-    support, d_sup = nearest[:, :k], d_near[:, :k]
+        nb = block.shape[0]
+        if near is None:
+            bound = np.partition(block, k, axis=1)[:, k:k + 1]
+        else:
+            bound = block.ravel()[near[rows] + np.arange(0, nb * m, m)[:, None]
+                                  ].max(axis=1, keepdims=True)
+        # Flat ids, row-major: each row's candidates come out ascending.
+        flat = np.flatnonzero(block <= bound)
+        row, col = np.divmod(flat, m)
+        counts = np.bincount(row, minlength=nb)
+        starts = np.cumsum(counts) - counts
+        width = int(counts.max())
+        place = row * width + np.arange(flat.size) - starts[row]
+        padded = np.full((nb, width), np.inf)
+        padded.ravel()[place] = block.ravel()[flat]
+        pick = np.argsort(padded, axis=1, kind="stable")[:, :k + 1]
+        nearest[rows] = col[starts[:, None] + pick]
+        d_near[rows] = padded.ravel()[np.arange(0, nb * width, width)[:, None]
+                                      + pick]
+    d_sup = d_near[:, :k]
     num = d_near[:, k:] - d_sup
     den = num.sum(axis=1, keepdims=True)
     degenerate = den <= 0.0
@@ -193,7 +207,7 @@ def _solve_rows(dists: np.ndarray, k: int, uniform: bool = False):
     else:
         safe_den = np.where(degenerate, 1.0, den)
         weights = np.where(degenerate, 1.0 / k, num / safe_den)
-    return support, weights, 0.5 * den[:, 0], d_sup
+    return nearest, weights, 0.5 * den[:, 0], d_sup
 
 
 def update_anchors(x_mapped: np.ndarray, g: AnchorGraph) -> np.ndarray:
@@ -257,6 +271,15 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
     perfbench workload's median accuracy over ten seeds is lower at 15
     than at 30.
 
+    Each row solve after a fit's first takes the previous solve's k+1
+    nearest anchors as near (see _solve_rows), re-seeded solves included:
+    the largest distance to those k+1 distinct anchors bounds the (k+1)-th
+    smallest from above however the anchors have moved, so the rows and
+    their tie rule are those of a solve without it. Since each iteration
+    moves the anchors little, the bound leaves few candidates per row.
+    A graph with a dead anchor is never returned: its construction raises
+    DeadAnchors, the dead anchors are re-seeded and the rows solved again.
+
     Returns the last iteration's graph; anchors in any space follow from
     it by pooling (g.pool).
 
@@ -282,22 +305,24 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
             f"squared distances overflow float64: the largest |feature| is "
             f"{scale:.3g}")
     prev_obj = None
+    near = None
     for _ in range(FIT_MAX_ITERS):
         # Dead anchors would make delta singular; re-seed and re-solve.
         for attempt in range(m + 1):
-            support, weights, gamma, d_sup = _solve_rows(
-                dists, cfg.k, uniform=uniform_rows)
-            _, dead = _dead_anchors(support, weights, m)
-            if not dead.size:
+            near, weights, gamma, d_sup = _solve_rows(
+                dists, cfg.k, uniform=uniform_rows, near=near)
+            support = near[:, :cfg.k]
+            try:
+                g = AnchorGraph(support, weights, m)
                 break
-            if attempt == m:
-                distinct = np.unique(x, axis=0).shape[0]
-                raise ValueError(
-                    f"could not re-seed anchors to positive degree: the "
-                    f"{x.shape[0]} points fitted have {distinct} distinct "
-                    f"rows for m={m} anchors; use fewer anchors")
-            _reseed_dead_anchors(x, anchors, dists, dead)
-        g = AnchorGraph(support, weights, m)
+            except DeadAnchors as err:
+                if attempt == m:
+                    distinct = np.unique(x, axis=0).shape[0]
+                    raise ValueError(
+                        f"could not re-seed anchors to positive degree: the "
+                        f"{x.shape[0]} points fitted have {distinct} distinct "
+                        f"rows for m={m} anchors; use fewer anchors") from err
+                _reseed_dead_anchors(x, anchors, dists, err.dead)
 
         if uniform_rows:
             obj = float(np.sum(weights * d_sup))

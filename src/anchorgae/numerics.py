@@ -15,8 +15,9 @@ import numpy as np
 # decoder pass (n=3000-20000, m=200-500, e=64) is fastest at 2**16, up to
 # 1.3x slower at 2**15 and 2**17-2**18 and up to 2.5x slower at 2**12; the
 # factored pass times alike from 2**12 to 2**17 and read 2x slower at 2**18
-# at n=3000, m=200; the row solve (n=3000, m=256) times alike from 2**14 to
-# 2**20 and is 1.3x slower at 2**12.
+# at n=3000, m=200; the graph fit's row solve (n=3000, m=256, k=3-17, its
+# candidate path with a warm bound) times within 10% from 2**16 to 2**20,
+# is 1.2-1.6x slower at 2**14 and 2-3x slower at 2**12.
 BLOCK_ENTRIES = 2 ** 16
 
 

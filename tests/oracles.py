@@ -113,8 +113,9 @@ def projected_gradient_row(dists, k, iters=200):
 
 def sorted_rows(dists, k):
     """Closed-form k-sparse rows from a full stable sort of every row:
-    (indices, weights, gamma, d_sup), ties to the lowest anchor index, the uniform
-    1/k row where the k+1 nearest all tie."""
+    (nearest, weights, gamma, d_sup), nearest the k+1 nearest anchors with
+    the support first, ties to the lowest anchor index, the uniform 1/k row
+    where the k+1 nearest all tie."""
     order = np.argsort(dists, axis=1, kind="stable")
     support = order[:, :k]
     d_sup = np.take_along_axis(dists, support, axis=1)
@@ -124,7 +125,7 @@ def sorted_rows(dists, k):
     degenerate = den <= 0.0
     weights = np.where(degenerate, 1.0 / k,
                        num / np.where(degenerate, 1.0, den))
-    return support, weights, 0.5 * den[:, 0], d_sup
+    return order[:, :k + 1], weights, 0.5 * den[:, 0], d_sup
 
 
 def solve_connectivity_row(dists, k):
@@ -135,9 +136,9 @@ def solve_connectivity_row(dists, k):
         raise ValueError(f"dists must be a vector, got shape {dists.shape}")
     if not np.all(np.isfinite(dists)) or np.any(dists < 0):
         raise ValueError("dists must be finite and nonnegative")
-    support, weights, *_ = _solve_rows(dists[None, :], k)
+    nearest, weights, *_ = _solve_rows(dists[None, :], k)
     row = np.zeros(dists.shape[0])
-    row[support[0]] = weights[0]
+    row[nearest[0, :k]] = weights[0]
     return row
 
 

@@ -9,6 +9,7 @@ from anchorgae.anchor_graph import (
     FIT_TOL,
     AnchorGraph,
     ConnectivitySolveConfig,
+    DeadAnchors,
     _solve_rows,
     fit_anchor_graph,
     init_anchors,
@@ -122,17 +123,32 @@ def test_row_ties_broken_by_index():
     assert row[0] == row[3] == row[4] == 0.0
 
 
-def test_rows_match_full_stable_sort_on_ties(monkeypatch):
-    def check(dists, k, uniform=False):
-        support, weights, gamma, d_sup = _solve_rows(dists, k,
-                                                     uniform=uniform)
-        ref_support, ref_weights, ref_gamma, ref_d_sup = sorted_rows(dists, k)
-        if uniform:
-            ref_weights = np.full_like(ref_weights, 1.0 / k)
-        for a, b in ((support, ref_support), (weights, ref_weights),
-                     (gamma, ref_gamma), (d_sup, ref_d_sup)):
-            assert np.array_equal(a, b), (dists.shape, k, uniform)
+def near_sets(dists, k, rng):
+    """The near arguments the row solve must be exact under: none (the
+    partition bound), the true k+1 nearest, k+1 random distinct anchors (wide
+    candidate sets) and the k+1 nearest of a perturbed matrix."""
+    n, m = dists.shape
+    perturbed = dists + rng.normal(size=dists.shape)
+    return [None, sorted_rows(dists, k)[0],
+            np.argsort(rng.random((n, m)), axis=1)[:, :k + 1],
+            sorted_rows(perturbed, k)[0]]
 
+
+def check_rows(dists, k, rng):
+    """_solve_rows equals the full stable sort, element for element, with and
+    without uniform, under every near set."""
+    ref_nearest, ref_weights, ref_gamma, ref_d_sup = sorted_rows(dists, k)
+    for near in near_sets(dists, k, rng):
+        for uniform in (False, True):
+            ref = (ref_nearest,
+                   np.full_like(ref_weights, 1.0 / k) if uniform
+                   else ref_weights, ref_gamma, ref_d_sup)
+            ours = _solve_rows(dists, k, uniform=uniform, near=near)
+            for a, b in zip(ours, ref):
+                assert np.array_equal(a, b), (dists.shape, k, uniform)
+
+
+def test_rows_match_full_stable_sort_on_ties(monkeypatch):
     rng = make_rng(25)
     shapes = [(1, 2), (1, 7), (6, 2)] + [
         (int(rng.integers(1, 40)), int(rng.integers(2, 16)))
@@ -140,22 +156,33 @@ def test_rows_match_full_stable_sort_on_ties(monkeypatch):
     for n, m in shapes:
         dists = rng.integers(0, 4, size=(n, m)).astype(float)
         for k in {1, m - 1, int(rng.integers(1, m))}:
-            check(dists, k)
-            check(dists, k, uniform=True)
+            check_rows(dists, k, rng)
     # Every entry of a row tied, next to rows with no tie at all.
     for m in (2, 5, 12):
         dists = np.vstack([np.full((3, m), 2.5), rng.random((3, m)),
                            np.zeros((2, m))])
         for k in range(1, m):
-            check(dists, k)
-            check(dists, k, uniform=True)
+            check_rows(dists, k, rng)
     # Rows spread over several blocks, the last one partial.
     for rows_per_block in (1, 7, 23):
         for n, m in ((60, 9), (47, 3), (100, 16)):
             monkeypatch.setattr(numerics, "BLOCK_ENTRIES", rows_per_block * m)
             dists = rng.integers(0, 4, size=(n, m)).astype(float)
             for k in {1, m - 1, int(rng.integers(1, m))}:
-                check(dists, k)
+                check_rows(dists, k, rng)
+    # Exact duplicate columns: refit graphs can carry duplicate anchors.
+    for rows_per_block in (5, 4096):
+        monkeypatch.setattr(numerics, "BLOCK_ENTRIES", rows_per_block * 16)
+        for _ in range(20):
+            x = rng.normal(size=(50, 3))
+            anchors = x[rng.choice(50, size=16, replace=False)]
+            anchors[rng.choice(16, size=6, replace=False)] = \
+                anchors[rng.choice(16, size=6)]
+            tied = rng.integers(0, 3, size=(50, 16)).astype(float)
+            tied[:, 8:] = tied[:, rng.choice(8, size=8)]
+            for dists in (pairwise_sq_dist(x, anchors), tied):
+                for k in (1, 3, 10, 15):
+                    check_rows(dists, k, rng)
 
 
 def test_rows_tie_straddling_the_boundary():
@@ -163,8 +190,8 @@ def test_rows_tie_straddling_the_boundary():
     # reaches into the support, so only the lowest-index tied anchor joins.
     dists = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0],
                       [2.0, 2.0, 1.0, 1.0, 0.0, 1.0]])
-    support, weights, gamma, d_sup = _solve_rows(dists, 2)
-    assert support.tolist() == [[1, 4], [4, 2]]
+    nearest, weights, gamma, d_sup = _solve_rows(dists, 2)
+    assert nearest.tolist() == [[1, 4, 0], [4, 2, 3]]
     assert d_sup.tolist() == [[0.0, 0.0], [0.0, 1.0]]
     assert weights.tolist() == [[0.5, 0.5], [1.0, 0.0]]
     assert gamma.tolist() == [1.0, 0.5]
@@ -214,9 +241,12 @@ def test_update_anchors_matches_loop_oracle():
 
 
 def test_graph_rejects_dead_anchors():
-    with pytest.raises(ValueError, match=r"anchors \[1, 2\] have zero degree"):
+    with pytest.raises(ValueError,
+                       match=r"anchors \[1, 2\] have zero degree") as err:
         # anchors 1 and 2 never referenced
         AnchorGraph(np.array([[0], [0]]), np.array([[1.0], [1.0]]), 3)
+    assert isinstance(err.value, DeadAnchors)
+    assert err.value.dead.tolist() == [1, 2]
     idx = np.array([[0, 1], [0, 1]])
     with pytest.raises(ValueError, match=r"anchors \[1\] have zero degree"):
         # degree 1e-13, below the tolerance
@@ -383,6 +413,25 @@ def test_fit_reseeds_dead_anchor():
     assert np.max(np.abs(g.pool(x))) < 100.0  # pulled back into the data
 
 
+def far_anchor_fit(seed, k):
+    """A fit whose anchors start far outside the data, so it re-seeds."""
+    rng = make_rng(seed)
+    x = rng.normal(size=(80, 2))
+    far = rng.normal(size=(10, 2)) + 40.0
+    return x, fit_anchor_graph(x, far, ConnectivitySolveConfig(k=k))
+
+
+def tie_heavy_fit(seed, k, uniform_rows):
+    """A fit on integer grid points, where rows tie at the boundary."""
+    rng = make_rng(seed)
+    x = rng.integers(0, 4, size=(150, 3)).astype(float)
+    anchors0 = np.unique(x, axis=0)[rng.choice(40, size=12, replace=False)]
+    d = np.sort(pairwise_sq_dist(x, anchors0), axis=1)
+    assert np.any(d[:, k - 1] == d[:, k])
+    return x, fit_anchor_graph(x, anchors0, ConnectivitySolveConfig(k=k),
+                               uniform_rows=uniform_rows)
+
+
 def test_reseeding_fits_match_full_stable_sort(monkeypatch):
     # Anchors far outside the data: every fit re-seeds some of them.
     reseeds = []
@@ -394,24 +443,46 @@ def test_reseeding_fits_match_full_stable_sort(monkeypatch):
 
     monkeypatch.setattr(anchor_graph, "_reseed_dead_anchors", counting_reseed)
 
-    def fit(seed, k):
-        rng = make_rng(seed)
-        x = rng.normal(size=(80, 2))
-        far = rng.normal(size=(10, 2)) + 40.0
-        return x, fit_anchor_graph(x, far, ConnectivitySolveConfig(k=k))
-
     for seed in range(6):
         for k in (1, 2, 4):
             del reseeds[:]
-            x, ours = fit(seed, k)
+            x, ours = far_anchor_fit(seed, k)
             assert reseeds, (seed, k)
             with monkeypatch.context() as patch:
                 patch.setattr(anchor_graph, "_solve_rows",
-                              lambda d, k, uniform=False: sorted_rows(d, k))
-                _, ref = fit(seed, k)
+                              lambda d, k, uniform=False, near=None:
+                              sorted_rows(d, k))
+                _, ref = far_anchor_fit(seed, k)
             assert np.array_equal(ours.indices, ref.indices), (seed, k)
             assert np.array_equal(ours.weights, ref.weights), (seed, k)
             assert np.array_equal(ours.pool(x), ref.pool(x)), (seed, k)
+
+
+def test_warm_bound_changes_no_fit(monkeypatch):
+    # The same fits with every solve taking the partition bound.
+    solve = anchor_graph._solve_rows
+    warm = []
+
+    def counting_solve(d, k, uniform=False, near=None):
+        warm.append(near is not None)
+        return solve(d, k, uniform=uniform, near=near)
+
+    monkeypatch.setattr(anchor_graph, "_solve_rows", counting_solve)
+    fits = [(far_anchor_fit, (seed, k)) for seed in range(3) for k in (1, 4)]
+    fits += [(tie_heavy_fit, (seed, k, uniform))
+             for seed in range(3) for k in (1, 3, 5) for uniform in (False, True)]
+    for fit, args in fits:
+        del warm[:]
+        x, ours = fit(*args)
+        assert warm[0] is False and all(warm[1:]) and len(warm) > 1, args
+        with monkeypatch.context() as patch:
+            patch.setattr(anchor_graph, "_solve_rows",
+                          lambda d, k, uniform=False, near=None:
+                          solve(d, k, uniform=uniform))
+            _, ref = fit(*args)
+        assert np.array_equal(ours.indices, ref.indices), args
+        assert np.array_equal(ours.weights, ref.weights), args
+        assert np.array_equal(ours.pool(x), ref.pool(x)), args
 
 
 # ----------------------------------------------- normalization / adjacency
