@@ -296,10 +296,12 @@ def fit_anchor_graph(x_mapped: np.ndarray, anchors0: np.ndarray,
     # Later anchors are sample means or samples, so inputs that pass this
     # check do not overflow later; checked once, not per iteration, and
     # reported by the error below rather than by numpy's warnings. The
-    # error states the fact only: the remedy depends on what x is.
+    # error states the fact only: the remedy depends on what x is. After
+    # the distances' clamp every entry is >= 0, NaN or +inf, so the max
+    # alone shows a non-finite one, with no n x m bool.
     with np.errstate(over="ignore", invalid="ignore"):
         dists = pairwise_sq_dist(x, anchors)
-    if not np.all(np.isfinite(dists)):
+    if not np.isfinite(dists.max()):
         scale = max(np.max(np.abs(x)), np.max(np.abs(anchors)))
         raise DistanceOverflow(
             f"squared distances overflow float64: the largest |feature| is "

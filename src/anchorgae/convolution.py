@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 
 from .anchor_graph import AnchorGraph
+from .numerics import row_blocks
 
 
 @dataclass
@@ -47,17 +48,17 @@ class ForwardCache:
 
     inputs[l] is the m-row input that multiplies W_l (g.pool(h_l) on the
     sample side, the anchor-side adjacency times h_l on the anchor side);
-    activations[l] is h_{l+1} = relu(s_l) for each hidden layer l, the only
-    n-row array a sample-side layer keeps (its ReLU is applied in place,
-    and its mask h_{l+1} > 0 is the mask s_l > 0); top is the last layer's
-    product y = inputs[-1] @ W_L. The embedding is y spread by the branch's
-    graph: z = g.b_dot(top) on the sample side, z_t = top on the anchor
-    side. Readers that need z spread y themselves, so a pass that reads
-    only y never forms the n-row z.
+    masks[l] is the ReLU mask s_l > 0 of each hidden layer l, a bool array
+    and the only n-row array a sample-side layer keeps (its activation
+    h_{l+1} = relu(s_l) is freed once pooled into inputs[l+1]); top is the
+    last layer's product y = inputs[-1] @ W_L. The embedding is y spread by
+    the branch's graph: z = g.b_dot(top) on the sample side, z_t = top on
+    the anchor side. Readers that need z spread y themselves, so a pass
+    that reads only y never forms the n-row z.
     """
 
     inputs: list[np.ndarray]
-    activations: list[np.ndarray]
+    masks: list[np.ndarray]
     top: np.ndarray
 
 
@@ -99,7 +100,9 @@ def apply_anchor_adjacency_t(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
 def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
              gather, spread) -> ForwardCache:
     """Hidden layer l computes h_{l+1} = relu(spread(gather(h_l) @ W_l)),
-    the ReLU in place on the spread product; the last layer's product
+    the ReLU in place on the spread product over numerics.row_blocks, and
+    caches its mask h_{l+1} > 0 and its pooled gather(h_{l+1}); h_{l+1}
+    itself is freed before the next layer's spread. The last layer's product
     gather(h_L) @ W_L is cached unspread, as ForwardCache.top.
     first is gather(h_0), m x d_in, formed by the caller and used (and
     cached) as is, uncopied."""
@@ -107,13 +110,22 @@ def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
     if first.shape != expected:
         raise ValueError(f"first-layer input has shape {first.shape}, "
                          f"expected {expected}")
-    inputs, activations = [first], []
+    inputs, masks = [first], []
     for w in params.layers[:-1]:
         h = spread(inputs[-1] @ w)
-        np.maximum(h, 0.0, out=h)
-        activations.append(h)
+        mask = np.empty(h.shape, dtype=bool)
+        # Per row block, the mask reads the ReLU's output while the block
+        # is in cache, so h is swept from memory once. A second whole-array
+        # sweep cost 2.5 ms per pass at n = 40000, width 128 (0.5 ms at
+        # 20000; two cores), which bends the forward pass's linear scaling.
+        for rows in row_blocks(*h.shape):
+            block = h[rows]
+            np.maximum(block, 0.0, out=block)
+            np.greater(block, 0.0, out=mask[rows])
+        masks.append(mask)
         inputs.append(gather(h))
-    return ForwardCache(inputs, activations, inputs[-1] @ params.layers[-1])
+        del h
+    return ForwardCache(inputs, masks, inputs[-1] @ params.layers[-1])
 
 
 def conv_forward_samples(g: AnchorGraph, p0: np.ndarray,

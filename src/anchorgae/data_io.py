@@ -108,7 +108,10 @@ def make_blobs(n: int, d: int, c: int, separation: float,
                rng: np.random.Generator) -> Dataset:
     """Unit-variance Gaussian blobs around c well-spread centers of norm
     `separation` (scaled basis vectors when c <= d, random directions
-    otherwise)."""
+    otherwise). Labels are contiguous runs of n // c + 1 rows, so the last
+    class that gets rows may be short, and when c is near n the last
+    classes get none. The noise is drawn into the result and each
+    center added to its rows in place, so one n x d array is allocated."""
     if not (1 <= c <= n):
         raise ValueError(f"need 1 <= c <= n={n}, got c={c}")
     if separation <= 0:
@@ -118,8 +121,13 @@ def make_blobs(n: int, d: int, c: int, separation: float,
     else:
         dirs = rng.normal(size=(c, d))
         centers = separation * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    labels = np.repeat(np.arange(c), n // c + 1)[:n]
-    x = centers[labels] + rng.normal(size=(n, d))
+    per = n // c + 1
+    labels = np.repeat(np.arange(c), per)[:n]
+    x = rng.normal(size=(n, d))
+    full = n // per
+    whole = x[:full * per].reshape(full, per, d)  # a view: x is contiguous
+    whole += centers[:full, None, :]
+    x[full * per:] += centers[full]  # full < c: the last, short class
     return Dataset(x=x, labels=labels.astype(np.int64), name="blobs")
 
 
@@ -140,12 +148,15 @@ def make_two_moons(n: int, noise: float, rng: np.random.Generator) -> Dataset:
 
 
 def minmax_scale(x: np.ndarray) -> np.ndarray:
-    """Affinely map each column to [0,1]; constant columns become 0."""
+    """Affinely map each column to [0,1]; constant columns become 0. The
+    result is formed in its own buffer, (x - lo) then divided in place, so
+    one array of x's size is allocated."""
     x = np.asarray(x, dtype=np.float64)
     lo = x.min(axis=0)
     span = x.max(axis=0) - lo
     safe = np.where(span > 0, span, 1.0)
-    out = (x - lo) / safe
+    out = np.subtract(x, lo)
+    out /= safe
     out[:, span == 0] = 0.0
     return out
 

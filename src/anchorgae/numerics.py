@@ -9,15 +9,18 @@ m x m anchor matrices, never on n x n sample matrices.
 import numpy as np
 
 # Entries per row block (a row is never split): 2**16 float64 is 512 KiB
-# per block array. The distances, both decoder passes and the graph fit's
-# row solve run over these blocks; the factored decoder pass takes at least
-# m rows per block. On two cores (fastest of 9, one sweep), the dense
-# decoder pass (n=3000-20000, m=200-500, e=64) is fastest at 2**16, up to
-# 1.3x slower at 2**15 and 2**17-2**18 and up to 2.5x slower at 2**12; the
-# factored pass times alike from 2**12 to 2**17 and read 2x slower at 2**18
-# at n=3000, m=200; the graph fit's row solve (n=3000, m=256, k=3-17, its
-# candidate path with a warm bound) times within 10% from 2**16 to 2**20,
-# is 1.2-1.6x slower at 2**14 and 2-3x slower at 2**12.
+# per block array. The distances, both decoder passes, the graph fit's
+# row solve and the encoder's ReLU and mask run over these blocks; the
+# factored decoder pass takes at least m rows per block. On two cores
+# (fastest of 9, one sweep), the dense decoder pass (n=3000-20000,
+# m=200-500, e=64) is fastest at 2**16, up to 1.3x slower at 2**15 and
+# 2**17-2**18 and up to 2.5x slower at 2**12; the factored pass times
+# alike from 2**12 to 2**17 and read 2x slower at 2**18 at n=3000, m=200;
+# the graph fit's row solve (n=3000, m=256, k=3-17, its candidate path
+# with a warm bound) times within 10% from 2**16 to 2**20, is 1.2-1.6x
+# slower at 2**14 and 2-3x slower at 2**12; the ReLU and mask
+# (n=10000-70000, width 128, fastest of 15) are fastest at 2**16 and
+# 1.04-1.4x slower at 2**14 and 2**18-2**20.
 BLOCK_ENTRIES = 2 ** 16
 
 
@@ -35,14 +38,16 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite, non-empty float64 2-D array, copying only if
-    needed."""
+    needed. Finiteness is read off the array's min and max, so the check
+    allocates nothing of the array's size."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if 0 in a.shape:
         raise ValueError(f"{name} needs at least one row and one column, "
                          f"got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # NaN propagates through min and max, and +/-inf shows in one of them.
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

@@ -33,11 +33,12 @@ The sparse products slow down as k and m grow, so the factored pass runs
 only when k sqrt(m) <= FACTORED_K_ROOT_M_PER_WIDTH * e, for embedding
 width e.
 
-Of the n-row arrays, an epoch holds the activation of each hidden layer of
-the sample branch (ForwardCache) and, in backprop, the gradient through one
-of them. The factored pass never forms the n x e embedding z; the dense
-pass forms it once per epoch. An epoch's caches are freed before the next
-epoch's forward pass.
+Of the n-row arrays, an epoch keeps the ReLU mask of each hidden layer of
+the sample branch (ForwardCache, a bool array; the float activation is
+freed once pooled) and, in backprop, forms the gradient through one of them.
+The factored pass never forms the n x e embedding z; the dense pass forms
+it once per epoch. An epoch's caches are freed before the next epoch's
+forward pass. The Adam step works in the fresh gradients' buffers.
 """
 
 import warnings
@@ -138,12 +139,12 @@ def _branch_grads(cache: ForwardCache, params: EncoderParams,
     grad = grad_top
     for l in range(n_layers - 1, -1, -1):
         if l < n_layers - 1:
-            if cache.activations[l].shape != grad.shape:
+            if cache.masks[l].shape != grad.shape:
                 raise ValueError(
                     "cache does not match gradient shapes (stale forward?)")
             # ReLU, in place: grad is an array made here by gather_t, never
-            # the caller's grad_top; relu(s) > 0 exactly where s > 0.
-            np.multiply(grad, cache.activations[l] > 0.0, out=grad)
+            # the caller's grad_top.
+            np.multiply(grad, cache.masks[l], out=grad)
             grad = spread_t(grad)
         grads[l] = cache.inputs[l].T @ grad
         if l > 0:
@@ -299,7 +300,7 @@ def backward(g: AnchorGraph, sample_cache: ForwardCache,
     n_layers = len(params.layers)
     for cache in (sample_cache, anchor_cache):
         if (len(cache.inputs) != n_layers
-                or len(cache.activations) != n_layers - 1):
+                or len(cache.masks) != n_layers - 1):
             raise ValueError("cache does not match params (stale forward?)")
     grad_y, grad_zt, q_sup = _decoder_grads(g, sample_cache,
                                             anchor_cache.top, blocks)
@@ -345,13 +346,31 @@ def train(g: AnchorGraph, p0: np.ndarray, a0: np.ndarray,
             for w, grad in zip(params.layers, grads):
                 w -= learning_rate * grad
         else:
-            t = epoch + 1
-            bc1 = 1.0 - ADAM_BETA1 ** t
-            bc2 = 1.0 - ADAM_BETA2 ** t
-            for w, grad, m1, v1 in zip(params.layers, grads, adam_m, adam_v):
-                m1 *= ADAM_BETA1
-                m1 += (1.0 - ADAM_BETA1) * grad
-                v1 *= ADAM_BETA2
-                v1 += (1.0 - ADAM_BETA2) * grad * grad
-                w -= learning_rate * (m1 / bc1) / (np.sqrt(v1 / bc2) + ADAM_EPS)
+            for layer in zip(params.layers, grads, adam_m, adam_v):
+                _adam_step(*layer, learning_rate, epoch + 1)
     return trace
+
+
+def _adam_step(w: np.ndarray, grad: np.ndarray, m1: np.ndarray,
+               v1: np.ndarray, learning_rate: float, t: int) -> None:
+    """Adam step t (from 1) on w, updating both moments in place; grad is
+    overwritten as scratch, and one temporary of w's shape is allocated.
+    The operations and their order are those of
+    w -= lr (m1 / bc1) / (sqrt(v1 / bc2) + eps) after
+    m1 = b1 m1 + (1 - b1) g and v1 = b2 v1 + ((1 - b2) g) g."""
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    tmp = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m1 *= ADAM_BETA1
+    m1 += tmp
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= grad
+    v1 *= ADAM_BETA2
+    v1 += tmp
+    np.divide(v1, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m1, bc1, out=grad)
+    grad *= learning_rate
+    grad /= tmp
+    w -= grad

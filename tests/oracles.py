@@ -6,7 +6,7 @@ and shares no code with the production paths it checks, with four
 exceptions: random_bench_graph and first_layer_inputs only build inputs,
 peak_bytes only measures, and solve_connectivity_row is the production row
 solve seen one dense row at a time, for the tests that state the closed
-form row by row.
+form row by row. adam_step_expression reads training's Adam constants.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import (
     min_weight_full_bipartite_matching,
 )
 
+from anchorgae import training
 from anchorgae.anchor_graph import AnchorGraph, _solve_rows
 from anchorgae.convolution import EncoderParams, apply_anchor_adjacency
 
@@ -276,6 +277,19 @@ def aggregated_anchor_grads(g, c, params, grad_zt):
                                             factored_anchor_adjacency)
     return aggregated_branch_grads(g, aggregates, pre, params, grad_zt,
                                    factored_anchor_adjacency_t)
+
+
+def adam_step_expression(w, grad, m1, v1, learning_rate, t):
+    """One Adam step as whole-array expressions, each update in the order
+    train used to write it: m1 and v1 updated in place, then w."""
+    beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    m1 *= beta1
+    m1 += (1.0 - beta1) * grad
+    v1 *= beta2
+    v1 += (1.0 - beta2) * grad * grad
+    w -= learning_rate * (m1 / bc1) / (np.sqrt(v1 / bc2) + training.ADAM_EPS)
 
 
 def encoder_dims(params):

@@ -85,7 +85,7 @@ def test_identity_graph_single_linear_layer_is_xw():
     cache = conv_forward_samples(g, g.pool(x), params)
     z = g.b_dot(cache.top)
     assert np.max(np.abs(z - x @ params.layers[0])) < 1e-12
-    assert len(cache.inputs) == 1 and cache.activations == []
+    assert len(cache.inputs) == 1 and cache.masks == []
     assert cache.top.shape == (g.m, 2)
 
 
@@ -155,16 +155,19 @@ def test_sample_layers_match_aggregate_then_multiply_oracle():
         ref_z, aggregates, pre = aggregated_forward(g, x, params,
                                                     apply_sample_adjacency)
         assert np.max(np.abs(z - ref_z)) < 1e-12
-        assert len(cache.activations) == len(params.layers) - 1
-        for p_l, a_l, h_l, ref_s in zip(cache.inputs, aggregates,
-                                        cache.activations + [z], pre):
+        assert len(cache.masks) == len(params.layers) - 1
+        for p_l, a_l in zip(cache.inputs, aggregates):
             # The m-row input is the pooled one; spreading it back with B
-            # gives the n-row aggregate. A hidden layer keeps its ReLU, the
-            # last its linear output.
+            # gives the n-row aggregate.
             assert p_l.shape == (g.m, a_l.shape[1])
             assert np.max(np.abs(g.b_dot(p_l) - a_l)) < 1e-12
-            ref_h = ref_s if h_l is z else np.maximum(ref_s, 0.0)
-            assert np.max(np.abs(h_l - ref_h)) < 1e-12
+        for mask, p_next, ref_s in zip(cache.masks, cache.inputs[1:], pre):
+            # A hidden layer keeps its ReLU mask, and its activation only
+            # pooled, as the next layer's input.
+            assert mask.dtype == bool
+            assert np.array_equal(mask, ref_s > 0.0)
+            ref_p = g.pool(np.maximum(ref_s, 0.0))
+            assert np.max(np.abs(p_next - ref_p)) < 1e-12
 
 
 def test_relu_kills_all_negative_preactivations():
@@ -177,7 +180,7 @@ def test_relu_kills_all_negative_preactivations():
     cache = conv_forward_samples(g, g.pool(x), params)
     z = g.b_dot(cache.top)
     assert np.array_equal(z, np.zeros((5, 2)))
-    assert not cache.activations[0].any()
+    assert cache.masks[0].shape == (5, 4) and not cache.masks[0].any()
 
 
 def test_siamese_identity_square_graph():

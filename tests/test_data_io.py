@@ -16,6 +16,7 @@ from anchorgae.data_io import (
     save_matrix_csv,
 )
 from anchorgae.numerics import make_rng
+from oracles import peak_bytes
 
 
 # -------------------------------------------------------------------- csv
@@ -178,6 +179,31 @@ def test_blobs_more_clusters_than_dims():
     assert len(np.unique(ds.labels)) == 5
 
 
+@pytest.mark.parametrize("n,d,c", [(10, 3, 4), (10, 3, 6), (7, 3, 1),
+                                   (100, 8, 3), (60, 2, 5), (9, 4, 9)])
+def test_blobs_equal_centers_plus_noise(n, d, c):
+    # The centers are added to the noise in place, class by class; the
+    # result equals the gathered centers plus the noise bit for bit, the
+    # short last class included.
+    ds = make_blobs(n, d, c, 4.0, make_rng(98))
+    rng = make_rng(98)
+    if c <= d:
+        centers = np.eye(c, d) * 4.0
+    else:
+        dirs = rng.normal(size=(c, d))
+        centers = 4.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    assert np.array_equal(ds.x, centers[ds.labels] + rng.normal(size=(n, d)))
+    assert np.array_equal(ds.labels, np.repeat(np.arange(c), n // c + 1)[:n])
+
+
+def test_blobs_hold_one_sample_array():
+    # The noise is drawn into the result and no n x d gather of centers is
+    # formed; the labels add two n-long int arrays, 2/d of it.
+    n, d = 3000, 64
+    assert peak_bytes(lambda: make_blobs(n, d, 10, 5.0, make_rng(99))) \
+        < 1.5 * n * d * 8
+
+
 def test_blobs_validation():
     with pytest.raises(ValueError):
         make_blobs(3, 2, 5, 1.0, make_rng(0))
@@ -211,6 +237,20 @@ def test_minmax_idempotent():
     once = minmax_scale(x)
     twice = minmax_scale(once)
     assert np.max(np.abs(once - twice)) < 1e-15
+
+
+def test_minmax_holds_one_array_above_its_input():
+    # The result is formed in place: x - lo, then divided by the span.
+    n, d = 3000, 64
+    rng = make_rng(100)
+    x = rng.normal(size=(n, d)) * 5 + 2
+    x[:, 3] = 1.5
+    assert peak_bytes(lambda: minmax_scale(x)) < 1.5 * n * d * 8
+    lo = x.min(axis=0)
+    span = x.max(axis=0) - lo
+    expected = (x - lo) / np.where(span > 0, span, 1.0)
+    expected[:, 3] = 0.0
+    assert np.array_equal(minmax_scale(x), expected)
 
 
 def test_dataset_properties():

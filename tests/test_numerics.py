@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anchorgae.numerics import (
+    as_matrix,
     make_rng,
     pairwise_sq_dist,
     spawn_rngs,
@@ -84,6 +85,27 @@ def test_pairwise_peaks_near_its_result(n, m, same):
     a = rng.normal(size=(n, 8))
     b = a if same else rng.normal(size=(m, 8))
     assert peak_bytes(lambda: pairwise_sq_dist(a, b)) < 1.2 * n * m * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_matrix_rejects_each_non_finite_value(bad):
+    x = make_rng(21).normal(size=(40, 5))
+    x[17, 3] = bad
+    with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+        as_matrix(x, "x")
+
+
+def test_as_matrix_accepts_extreme_finite_values():
+    x = np.array([[np.finfo(float).max, -np.finfo(float).max],
+                  [np.finfo(float).tiny, -0.0]])
+    assert as_matrix(x) is x
+
+
+def test_as_matrix_checks_without_a_sample_sized_array():
+    # Finiteness is read off the min and the max, not an n x d bool.
+    n, d = 3000, 64
+    x = make_rng(22).normal(size=(n, d))
+    assert peak_bytes(lambda: as_matrix(x)) < 0.5 * n * d
 
 
 def test_pairwise_symmetry():

@@ -32,6 +32,7 @@ from anchorgae.training import (
     decode_on_support,
 )
 from oracles import (
+    adam_step_expression,
     aggregated_anchor_grads,
     aggregated_forward,
     aggregated_sample_grads,
@@ -471,15 +472,17 @@ def test_blocked_pass_holds_no_sample_by_anchor_array():
 
 @pytest.mark.parametrize(
     "m, k, d_in, factored, bound",
-    [(200, 3, 64, True, 3.5), (256, 17, 16, False, 4.2)],
+    [(200, 3, 64, True, 2.0), (256, 17, 16, False, 2.5)],
     ids=["factored", "dense"])
 def test_train_holds_one_sample_array_per_hidden_layer(monkeypatch, m, k, d_in,
                                                        factored, bound):
-    # Widths h0 = 128, e = 64. An epoch holds the hidden layer's activation
-    # (one n x h0 array, its ReLU applied in place) and, in backprop, the
-    # gradient through it; the factored pass never spreads y into the
-    # n x e embedding z, the dense pass does so once per epoch. The
-    # previous epoch's caches are gone before the next forward pass.
+    # Widths h0 = 128, e = 64. An epoch's cache holds the hidden layer's
+    # ReLU mask (an n x h0 bool, 1/8 of an n x h0 array); its activation
+    # is freed once pooled, and backprop forms the gradient through it. The
+    # factored pass never spreads y into the n x e embedding z, the dense
+    # pass does so once per epoch. The previous epoch's caches are gone
+    # before the next forward pass. The peaks read 1.82 (factored) and
+    # 2.34 (dense) n x h0 arrays; the bounds leave 0.18 and 0.16 of margin.
     n, dims, epochs = 3000, [d_in, 128, 64], 2
     rng = make_rng(73)
     g = random_bench_graph(n, m, k, rng)
@@ -608,6 +611,23 @@ def reaggregating_train(g, x, c, params, epochs, learning_rate):
             v_hat = v1 / (1.0 - beta2 ** t)
             w -= learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
     return np.array(trace)
+
+
+def test_adam_step_matches_expression_oracle():
+    # In place, with the fresh gradient as scratch, and bit for bit the
+    # whole-array expression, over steps whose gradients span many scales.
+    rng = make_rng(76)
+    for shape in ((784, 128), (5, 3)):
+        w = rng.normal(size=shape)
+        m1, v1 = np.zeros(shape), np.zeros(shape)
+        ref_w, ref_m1, ref_v1 = w.copy(), m1.copy(), v1.copy()
+        for t in range(1, 7):
+            grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 3, shape)
+            adam_step_expression(ref_w, grad.copy(), ref_m1, ref_v1, 1e-3, t)
+            training._adam_step(w, grad, m1, v1, 1e-3, t)
+            assert np.array_equal(w, ref_w)
+            assert np.array_equal(m1, ref_m1)
+            assert np.array_equal(v1, ref_v1)
 
 
 def test_train_hoisted_aggregates_match_reaggregating_loop():
