@@ -5,7 +5,9 @@ materialized. A sample-side layer s = A h W runs as B ((diag(1/delta) B^T h)
 W): it pools h onto the anchors (AnchorGraph.pool, m x d_l), multiplies the
 pooled rows by W, and spreads the m x d_{l+1} result back over the samples
 with B. The dense product thus has m rows, not n, and the per-layer cost is
-linear in the number of samples for fixed anchor count and widths. The
+linear in the number of samples for fixed anchor count and widths. A hidden
+sample-side layer spreads, rectifies and pools one block of samples at a
+time, so its n-row activation is never formed whole. The
 anchor-side adjacency diag(1/delta) B^T B is a dense m x m matrix, O(m^2)
 memory, formed in O(n k^2 + m^2) once per graph and cached on the
 AnchorGraph; applying it is one m x m product.
@@ -23,6 +25,15 @@ import numpy as np
 
 from .anchor_graph import AnchorGraph
 from .numerics import row_blocks
+
+# Rows per sample block of a hidden sample-side layer, at least (4 MiB at
+# width 128; blocks are never below numerics.BLOCK_ENTRIES entries). At
+# n = 40000, width 128, the whole n-row activation (41 MB) was above
+# glibc's 32 MiB mmap threshold, so every pass mapped it afresh and took
+# 583 page faults, and it was swept from memory three times; the pass ran
+# 2.3-2.8x the n = 20000 one (fastest of 7, two cores). By blocks that
+# ratio read 1.95-2.39 in nine runs. n = 3000 is one block, as before.
+SAMPLE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -50,7 +61,8 @@ class ForwardCache:
     sample side, the anchor-side adjacency times h_l on the anchor side);
     masks[l] is the ReLU mask s_l > 0 of each hidden layer l, a bool array
     and the only n-row array a sample-side layer keeps (its activation
-    h_{l+1} = relu(s_l) is freed once pooled into inputs[l+1]); top is the
+    h_{l+1} = relu(s_l) is pooled into inputs[l+1] block by block, never
+    whole); top is the
     last layer's product y = inputs[-1] @ W_L. The embedding is y spread by
     the branch's graph: z = g.b_dot(top) on the sample side, z_t = top on
     the anchor side. Readers that need z spread y themselves, so a pass
@@ -97,12 +109,44 @@ def apply_anchor_adjacency_t(g: AnchorGraph, h: np.ndarray) -> np.ndarray:
     return g.anchor_adjacency().T @ h
 
 
+def _relu(h: np.ndarray, mask: np.ndarray) -> None:
+    """h = max(h, 0) in place and mask = h > 0, per numerics.row_blocks:
+    the mask reads the ReLU's output while the block is in cache, so h is
+    swept from memory once. A second whole-array sweep cost 2.5 ms per pass
+    at n = 40000, width 128 (0.5 ms at 20000; two cores)."""
+    for rows in row_blocks(*h.shape):
+        block = h[rows]
+        np.maximum(block, 0.0, out=block)
+        np.greater(block, 0.0, out=mask[rows])
+
+
+def _sample_hidden(g: AnchorGraph, y: np.ndarray):
+    """(mask, pool(relu(B y))) for the m-row product y = gather(h_l) @ W_l,
+    one block of SAMPLE_BLOCK_ROWS samples at a time: each block of B y is
+    spread, rectified and its sum onto the anchors carried on
+    (AnchorGraph.bt_dot_onto), bit for bit as over the whole array."""
+    mask = np.empty((g.n, y.shape[1]), dtype=bool)
+    pooled = None
+    for rows in row_blocks(g.n, y.shape[1], min_rows=SAMPLE_BLOCK_ROWS):
+        h = g.b_dot(y, rows)
+        _relu(h, mask[rows])
+        pooled = g.bt_dot_onto(pooled, h, rows)
+    pooled /= g.delta[:, None]
+    return mask, pooled
+
+
+def _anchor_hidden(g: AnchorGraph, y: np.ndarray):
+    """(mask, adjacency @ relu(y)); y is the layer's m-row activation."""
+    mask = np.empty(y.shape, dtype=bool)
+    _relu(y, mask)
+    return mask, apply_anchor_adjacency(g, y)
+
+
 def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
-             gather, spread) -> ForwardCache:
-    """Hidden layer l computes h_{l+1} = relu(spread(gather(h_l) @ W_l)),
-    the ReLU in place on the spread product over numerics.row_blocks, and
-    caches its mask h_{l+1} > 0 and its pooled gather(h_{l+1}); h_{l+1}
-    itself is freed before the next layer's spread. The last layer's product
+             hidden) -> ForwardCache:
+    """Hidden layer l computes h_{l+1} = relu(spread(gather(h_l) @ W_l))
+    and caches its mask h_{l+1} > 0 and its pooled gather(h_{l+1}), both
+    from hidden(gather(h_l) @ W_l). The last layer's product
     gather(h_L) @ W_L is cached unspread, as ForwardCache.top.
     first is gather(h_0), m x d_in, formed by the caller and used (and
     cached) as is, uncopied."""
@@ -112,19 +156,9 @@ def _forward(g: AnchorGraph, params: EncoderParams, first: np.ndarray,
                          f"expected {expected}")
     inputs, masks = [first], []
     for w in params.layers[:-1]:
-        h = spread(inputs[-1] @ w)
-        mask = np.empty(h.shape, dtype=bool)
-        # Per row block, the mask reads the ReLU's output while the block
-        # is in cache, so h is swept from memory once. A second whole-array
-        # sweep cost 2.5 ms per pass at n = 40000, width 128 (0.5 ms at
-        # 20000; two cores), which bends the forward pass's linear scaling.
-        for rows in row_blocks(*h.shape):
-            block = h[rows]
-            np.maximum(block, 0.0, out=block)
-            np.greater(block, 0.0, out=mask[rows])
+        mask, pooled = hidden(inputs[-1] @ w)
         masks.append(mask)
-        inputs.append(gather(h))
-        del h
+        inputs.append(pooled)
     return ForwardCache(inputs, masks, inputs[-1] @ params.layers[-1])
 
 
@@ -132,7 +166,7 @@ def conv_forward_samples(g: AnchorGraph, p0: np.ndarray,
                          params: EncoderParams) -> ForwardCache:
     """Embed the n samples from p0 = g.pool(x); the embedding is
     z = g.b_dot(cache.top)."""
-    return _forward(g, params, p0, g.pool, g.b_dot)
+    return _forward(g, params, p0, partial(_sample_hidden, g))
 
 
 def conv_forward_anchors(g: AnchorGraph, a0: np.ndarray,
@@ -140,5 +174,4 @@ def conv_forward_anchors(g: AnchorGraph, a0: np.ndarray,
     """Embed the m anchors from a0 = apply_anchor_adjacency(g, c) through the
     shared weights with the anchor-side graph; the embedding is
     z_t = cache.top."""
-    return _forward(g, params, a0, partial(apply_anchor_adjacency, g),
-                    lambda s: s)
+    return _forward(g, params, a0, partial(_anchor_hidden, g))

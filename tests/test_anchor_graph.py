@@ -20,6 +20,7 @@ from oracles import (
     dense_adjacencies,
     gamma_from_sparsity,
     normalize_anchor_side,
+    peak_bytes,
     projected_gradient_row,
     row_objective,
     solve_connectivity_row,
@@ -238,6 +239,35 @@ def test_update_anchors_matches_loop_oracle():
     expected /= mass[:, None]
     assert np.max(np.abs(update_anchors(x, g) - expected)) < 1e-12
     assert np.array_equal(update_anchors(x, g), g.pool(x))
+
+
+def test_pool_holds_one_anchor_by_feature_array():
+    # B^T h is divided in place: one m x d array, not the product and its
+    # quotient.
+    n, d, m, k = 2000, 784, 200, 3
+    idx = (np.arange(n)[:, None] + np.arange(k)) % m
+    g = AnchorGraph(idx, np.full((n, k), 1.0 / k), m)
+    x = make_rng(44).normal(size=(n, d))
+    assert peak_bytes(lambda: g.pool(x)) < 1.5 * m * d * 8
+
+
+def test_block_products_same_bits_as_whole():
+    # b_dot over a row slice is that slice of the whole product, and
+    # bt_dot_onto carried over consecutive row blocks (a ragged last one
+    # included) sums each anchor's row in bt_dot's order.
+    rng = make_rng(45)
+    n, m, k, d = 500, 40, 3, 16
+    idx = np.argsort(rng.random((n, m)), axis=1)[:, :k]
+    idx[:m, 0] = np.arange(m)
+    g = AnchorGraph(idx, rng.random((n, k)) + 0.1, m)
+    y = rng.normal(size=(m, d))
+    h = g.b_dot(y)
+    acc = None
+    for start in range(0, n, 64):
+        rows = slice(start, min(start + 64, n))
+        assert np.array_equal(g.b_dot(y, rows), h[rows])
+        acc = g.bt_dot_onto(acc, h[rows], rows)
+    assert np.array_equal(acc, g.bt_dot(h))
 
 
 def test_graph_rejects_dead_anchors():

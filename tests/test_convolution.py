@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anchorgae import convolution, numerics
 from anchorgae.anchor_graph import AnchorGraph
 from anchorgae.convolution import (
     EncoderParams,
@@ -168,6 +169,22 @@ def test_sample_layers_match_aggregate_then_multiply_oracle():
             assert np.array_equal(mask, ref_s > 0.0)
             ref_p = g.pool(np.maximum(ref_s, 0.0))
             assert np.max(np.abs(p_next - ref_p)) < 1e-12
+
+
+def test_sample_blocks_same_bits_as_one_block(monkeypatch):
+    # n = 500 is one block by default; blocks of 64 rows, the last one
+    # ragged, spread, rectify and pool each hidden layer by parts.
+    rng = make_rng(46)
+    g = random_graph(500, 40, 3, rng)
+    params = init_params([6, 16, 12, 4], rng)
+    p0 = g.pool(rng.normal(size=(500, 6)))
+    whole = conv_forward_samples(g, p0, params)
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(convolution, "SAMPLE_BLOCK_ROWS", 64)
+    blocked = conv_forward_samples(g, p0, params)
+    for got, want in zip(blocked.inputs + blocked.masks + [blocked.top],
+                         whole.inputs + whole.masks + [whole.top]):
+        assert np.array_equal(got, want)
 
 
 def test_relu_kills_all_negative_preactivations():

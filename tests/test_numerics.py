@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +21,8 @@ from oracles import (
     pairwise_sq_dist_expression,
     peak_bytes,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_matmul_identity():
@@ -63,9 +71,18 @@ def test_pairwise_matches_per_pair_oracle():
     assert np.max(np.abs(pairwise_sq_dist(a, b) - pairwise_loops(a, b))) < 1e-10
 
 
+def test_pairwise_blocked_product_matches_per_pair_oracle():
+    # The product runs in several blocks with m % 8 != 0, where the blocked
+    # product may round apart from a whole one.
+    rng = make_rng(14)
+    a = rng.normal(size=(3000, 64))
+    b = rng.normal(size=(300, 64))
+    assert np.max(np.abs(pairwise_sq_dist(a, b) - pairwise_loops(a, b))) < 1e-10
+
+
 @pytest.mark.parametrize("n,m,d", [(3000, 256, 16), (3000, 200, 64),
-                                   (2000, 200, 784), (1, 1, 1), (7, 3, 2),
-                                   (0, 5, 3), (5, 0, 3)])
+                                   (2000, 200, 784), (4000, 1000, 64),
+                                   (1, 1, 1), (7, 3, 2), (0, 5, 3), (5, 0, 3)])
 def test_pairwise_same_bits_as_one_expression(n, m, d):
     rng = make_rng(19)
     a = rng.normal(size=(n, d)) * 3.0
@@ -77,10 +94,64 @@ def test_pairwise_same_bits_as_one_expression(n, m, d):
                           pairwise_sq_dist_expression(b, b))
 
 
+def test_pairwise_given_row_norms_same_bits():
+    rng = make_rng(23)
+    a = rng.normal(size=(3000, 64))
+    b = rng.normal(size=(256, 64))
+    sq_a = np.einsum("ij,ij->i", a, a)
+    assert np.array_equal(pairwise_sq_dist(a, b, sq_a), pairwise_sq_dist(a, b))
+
+
+def test_pairwise_norm_sums_are_exact_sums():
+    # Orthogonal supports make the cross term exactly 0, so each entry is
+    # the norm sum alone: fl(sq_a_i + sq_b_j), overflow to inf included.
+    s = np.array([0.0, 1e-150, 1.0, 1e75, 1e150, 1e200])
+    with np.errstate(over="ignore"):
+        sq = s * s
+    assert np.allclose(sq, [0.0, 1e-300, 1.0, 1e150, 1e300, np.inf],
+                       rtol=1e-15, atol=0.0)
+    a = np.stack([s, np.zeros_like(s)], axis=1)
+    b = np.stack([np.zeros_like(s), s], axis=1)
+    assert np.array_equal(pairwise_sq_dist(a, b), sq[:, None] + sq[None, :])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak resident size from /proc")
+def test_pairwise_resident_growth_is_one_block_of_samples():
+    # BLAS packs the rows of a it multiplies: a whole product packs all of
+    # a (about 49 MiB here), a product by row blocks one block of it. The
+    # peak is VmHWM, not ru_maxrss, which a spawned process inherits from
+    # the large process that spawns it.
+    script = textwrap.dedent("""
+        import numpy as np
+        from anchorgae.numerics import make_rng, pairwise_sq_dist
+
+        def peak_kib():
+            with open("/proc/self/status") as status:
+                line = next(s for s in status if s.startswith("VmHWM:"))
+            return int(line.split()[1])
+
+        rng = make_rng(24)
+        a = rng.normal(size=(16000, 784))
+        b = rng.normal(size=(200, 784))
+        b @ b.T  # BLAS set up before the baseline is read
+        before = peak_kib()
+        d = pairwise_sq_dist(a, b)
+        print((peak_kib() - before) * 1024 - d.nbytes)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 16 * 2 ** 20
+
+
 @pytest.mark.parametrize("n,m,same", [(6000, 300, False), (2000, 2000, True)])
 def test_pairwise_peaks_near_its_result(n, m, same):
-    # The distances are formed in the product's buffer; only the norms and
-    # one block of their sums come on top of the n x m result.
+    # The product is written block by block into the result; only the
+    # norms and one block of their sums come on top of the n x m result.
     rng = make_rng(20)
     a = rng.normal(size=(n, 8))
     b = a if same else rng.normal(size=(m, 8))

@@ -492,8 +492,8 @@ def test_train_holds_one_sample_array_per_hidden_layer(monkeypatch, m, k, d_in,
                                 rng.random((m, d_in)))
     spreads = []
     b_dot = g.b_dot
-    monkeypatch.setattr(g, "b_dot",
-                        lambda y: spreads.append(y.shape[1]) or b_dot(y))
+    monkeypatch.setattr(g, "b_dot", lambda y, *rows:
+                        spreads.append(y.shape[1]) or b_dot(y, *rows))
     peak = peak_bytes(lambda: train(g, p0, a0, params, epochs, 1e-3, "adam"))
     assert peak < bound * n * dims[1] * 8
     assert spreads.count(dims[-1]) == (0 if factored else epochs)
